@@ -131,11 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "abstract transformers): sets REPRO_NO_SPECIALIZE "
                             "so pool workers inherit it; results are "
                             "bit-identical either way, only slower")
-    sweep.add_argument("--no-vectorize", action="store_true",
-                       help="disable the numpy vector tier (batched "
-                            "value-set lifts): sets REPRO_NO_VECTORIZE so "
-                            "pool workers inherit it; results are "
-                            "bit-identical either way, only slower")
     sweep.add_argument("--profile", default=None, metavar="OUT",
                        help="profile the sweep with cProfile and dump the "
                             "stats to this file (inspect with pstats or "
@@ -340,33 +335,6 @@ def _specialization_profile(results: list[SweepResult]) -> str | None:
     return "per-scenario specialization (compile tier):\n" + "\n".join(lines)
 
 
-def _vectorization_profile(results: list[SweepResult]) -> str | None:
-    """Per-scenario vector-tier lines for ``sweep --profile`` output.
-
-    Shows how many lifted operations went through the numpy kernels, how
-    many operand pairs they covered, and the batch rate (share of covered
-    pairs that did *not* fall back to the per-pair scalar path).  Scenarios
-    without vector counters (kernel scenarios, vectorization disabled,
-    results cached from older stores) are skipped.
-    """
-    lines = []
-    for result in results:
-        metrics = result.metrics
-        if "vec_ops" not in metrics or "vec_pairs" not in metrics:
-            continue
-        pairs = metrics["vec_pairs"]
-        scalar = metrics.get("vec_scalar_pairs", 0)
-        rate = 1.0 - scalar / pairs if pairs else 0.0
-        lines.append(
-            f"  {result.scenario:<44}"
-            f"vec_ops={metrics['vec_ops']:>7,}"
-            f"  vec_pairs={pairs:>10,}"
-            f"  batch_rate={rate:>7.1%}")
-    if not lines:
-        return None
-    return "per-scenario vectorization (numpy tier):\n" + "\n".join(lines)
-
-
 def _command_sweep(args) -> int:
     if args.resume and not args.store:
         print("--resume needs --store (the store holds the finished "
@@ -381,12 +349,9 @@ def _command_sweep(args) -> int:
         # and every library layer observe the same mode.
         from repro.analysis.specialize import NO_SPECIALIZE_ENV
         os.environ[NO_SPECIALIZE_ENV] = "1"
-    if args.no_vectorize:
-        from repro.core.vectorize import NO_VECTORIZE_ENV
-        os.environ[NO_VECTORIZE_ENV] = "1"
     if args.trace:
         from repro.obs import trace as obs_trace
-        # The env var (like the kill switches above) so fork/spawn pool
+        # The env var (like the kill switch above) so fork/spawn pool
         # workers come up tracing; start() covers this parent process.
         os.environ[obs_trace.TRACE_ENV] = "1"
         obs_trace.start()
@@ -506,10 +471,6 @@ def _command_sweep(args) -> int:
         specialization = _specialization_profile(results)
         if specialization:
             print(specialization)
-            print()
-        vectorization = _vectorization_profile(results)
-        if vectorization:
-            print(vectorization)
             print()
     for result in results:
         print(_render_sweep_result(result))
@@ -784,13 +745,6 @@ def _command_bench_compare(args) -> int:
         print(f"note: baseline recorded on a {recorded_cpus}-CPU machine, "
               f"this one has {os.cpu_count()} — regressions below are "
               f"warnings, not failures")
-    recorded_numpy = environment.get("numpy")
-    if "numpy" in environment:
-        from repro.core.vectorize import numpy_version
-        if recorded_numpy != numpy_version():
-            print(f"note: baseline recorded with numpy "
-                  f"{recorded_numpy or 'absent'}, this run has "
-                  f"{numpy_version() or 'absent'}")
 
     shared = sorted(set(baseline) & set(current))
     regressions = []

@@ -91,12 +91,6 @@ class AnalysisConfig:
     # with the interpreted path; the knob (and the REPRO_NO_SPECIALIZE env
     # var, which overrides it) exists for ablation and as a rot guard.
     specialize: bool = True
-    # Vector tier (repro.core.vectorize): run the lifted AND/OR/XOR/ADD/shift
-    # products as batched numpy kernels.  Results are bit-identical with the
-    # scalar lifting; the knob (and the REPRO_NO_VECTORIZE env var, which
-    # overrides it) exists for ablation and as a rot guard.  Auto-disables
-    # when numpy is unavailable.
-    vectorize: bool = True
     # Observability (repro.obs): emit phase spans into the process tracer.
     # Default off; the engine activates the tracer when set, and the
     # REPRO_TRACE env var (how `--trace` reaches pool workers) enables the

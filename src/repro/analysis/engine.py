@@ -168,20 +168,6 @@ class SchedulerStats:
     spec_steps: int = 0
     interp_steps: int = 0
     cache_evictions: int = 0
-    # Vector tier: how many lifted products ran as batched numpy kernels
-    # (repro.core.vectorize), how many operand pairs they covered, and how
-    # many of those pairs still needed per-pair Python assembly (fresh
-    # symbols).  All zero when the tier is off or numpy is missing.
-    vec_ops: int = 0
-    vec_pairs: int = 0
-    vec_scalar_pairs: int = 0
-
-    @property
-    def vec_batch_rate(self) -> float:
-        """Fraction of vector-kernel pairs fully handled inside numpy."""
-        if not self.vec_pairs:
-            return 0.0
-        return 1.0 - self.vec_scalar_pairs / self.vec_pairs
 
     @property
     def spec_step_rate(self) -> float:
@@ -244,9 +230,6 @@ class Engine:
         config: AnalysisConfig = context.config
         self.observers = observers if observers is not None else config.observers()
         self.kinds = kinds if kinds is not None else config.kinds
-        # Vector tier handle (None when disabled): passed to the projection
-        # so all-constant address sets project in one numpy pass.
-        self._vec = context.ops.vec
         # Engine-owned DAGs skip commit-key deduplication until the first
         # fork: a never-duplicated cursor chain cannot repeat a key, and the
         # run loop flips the flag the moment a step forks.
@@ -337,7 +320,7 @@ class Engine:
                 stats.projection_misses += 1
                 label = project_value_set(
                     address, observer.offset_bits, self.context.table,
-                    self.context.config.projection_policy, vec=self._vec,
+                    self.context.config.projection_policy,
                 )
                 label = self._label_intern.setdefault(label, label)
                 cache[cache_key] = label
@@ -373,8 +356,7 @@ class Engine:
                     stats.projection_hits += 1
                 else:
                     stats.projection_misses += 1
-                    label = project_value_set(address, offset_bits, table,
-                                              policy, vec=self._vec)
+                    label = project_value_set(address, offset_bits, table, policy)
                     label = intern.setdefault(label, label)
                     cache[cache_key] = label
                 if label is last_label and label.is_single:
@@ -413,8 +395,7 @@ class Engine:
                     stats.projection_hits += 1
                 else:
                     stats.projection_misses += 1
-                    label = project_value_set(address, offset_bits, table,
-                                              policy, vec=self._vec)
+                    label = project_value_set(address, offset_bits, table, policy)
                     label = self._label_intern.setdefault(label, label)
                     cache[cache_key] = label
                 if runs and label is last_label and label.is_single:
@@ -694,11 +675,6 @@ class Engine:
         self.stats.lift_memo_hits = ops.memo_hits
         self.stats.lift_memo_misses = ops.memo_misses
         self.stats.lift_memo_evictions = ops.memo_evictions
-        vec = ops.vec
-        if vec is not None:
-            self.stats.vec_ops = vec.ops
-            self.stats.vec_pairs = vec.pairs
-            self.stats.vec_scalar_pairs = vec.scalar_pairs
         vs_hits, vs_misses = valueset_intern_counters()
         self.stats.vs_intern_hits = vs_hits - vs_base[0]
         self.stats.vs_intern_misses = vs_misses - vs_base[1]

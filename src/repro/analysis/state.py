@@ -31,7 +31,6 @@ from repro.core.bitvec import low_ones
 from repro.core.masked import MaskedOps, MaskedSymbol
 from repro.core.symbols import SymbolTable
 from repro.core.valueset import PrecisionLoss, ValueSet, ValueSetOps, intern_clear
-from repro.core.vectorize import vectorization_enabled
 
 __all__ = ["AnalysisContext", "AbsMemory", "AbsState", "FlagSource"]
 
@@ -59,10 +58,7 @@ class AnalysisContext:
         self.config = config or AnalysisConfig()
         self.table = SymbolTable(width=WIDTH)
         self.masked_ops = MaskedOps(self.table, track_offsets=self.config.track_offsets)
-        self.ops = ValueSetOps(
-            self.masked_ops, cap=self.config.value_set_cap,
-            vectorize=vectorization_enabled(self.config),
-        )
+        self.ops = ValueSetOps(self.masked_ops, cap=self.config.value_set_cap)
         self.warnings: list[str] = []
         self._unknown_cache: dict[tuple, ValueSet] = {}
 

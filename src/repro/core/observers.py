@@ -127,12 +127,6 @@ def standard_observers(geometry: CacheGeometry) -> list[Observer]:
     ]
 
 
-# Smallest value set worth projecting through the numpy fast path — the
-# scalar per-element projection wins below this (singleton addresses are the
-# common case and must not pay array setup).
-_VEC_MIN_PROJECT = 16
-
-
 class ProjectedLabel:
     """The projection of one access: a set of keys plus a refined count.
 
@@ -211,23 +205,11 @@ def project_value_set(
     offset_bits: int,
     table: SymbolTable,
     policy: ProjectionPolicy = ProjectionPolicy.OFFSET,
-    vec=None,
 ) -> ProjectedLabel:
-    """Project every element and bound the number of distinct observations.
-
-    ``vec`` is an optional :class:`~repro.core.vectorize.VectorKernels`
-    instance; all-constant sets (the bulk of data addresses in table-lookup
-    code) then project in one numpy pass.  Constant keys are insensitive to
-    ``policy``, and the spread refinement below still runs scalar, so the
-    label is identical either way.
-    """
-    keys = None
-    if vec is not None and len(values) >= _VEC_MIN_PROJECT:
-        keys = vec.project_constant_keys(values, offset_bits)
-    if keys is None:
-        keys = frozenset(
-            project_element(element, offset_bits, table, policy) for element in values
-        )
+    """Project every element and bound the number of distinct observations."""
+    keys = frozenset(
+        project_element(element, offset_bits, table, policy) for element in values
+    )
     count = len(keys)
     if count > 1 and offset_bits > 0 and policy is ProjectionPolicy.OFFSET:
         count = min(count, _spread_bound(values, offset_bits, table))

@@ -20,12 +20,6 @@ from typing import Callable, Iterable
 from repro.core import masked as masked_mod
 from repro.core.lru import LRUCache
 from repro.core.masked import FlagBits, MaskedOps, MaskedSymbol
-from repro.core.vectorize import (
-    HAVE_NUMPY,
-    VEC_MAX_WIDTH,
-    VEC_MIN_PAIRS,
-    VectorKernels,
-)
 
 __all__ = ["ValueSet", "ValueSetOps", "PrecisionLoss", "DEFAULT_SET_CAP",
            "LIFT_MEMO_CAP", "intern_clear", "intern_counters", "intern_size"]
@@ -220,20 +214,11 @@ class ValueSetOps:
     what keeps repeated loop bodies from recomputing identical products.
     """
 
-    def __init__(self, masked_ops: MaskedOps, cap: int = DEFAULT_SET_CAP,
-                 vectorize: bool = False) -> None:
+    def __init__(self, masked_ops: MaskedOps, cap: int = DEFAULT_SET_CAP) -> None:
         self.masked = masked_ops
         self.cap = cap
         self.width = masked_ops.width
         self._memo: LRUCache = LRUCache(LIFT_MEMO_CAP)
-        # The vectorized kernel tier (core/vectorize.py): gated by the
-        # caller (AnalysisContext resolves config knob + env kill switch),
-        # and structurally limited to widths the packed views support.
-        self.vec = (
-            VectorKernels(masked_ops)
-            if vectorize and HAVE_NUMPY and masked_ops.width <= VEC_MAX_WIDTH
-            else None
-        )
         self._dispatch = {
             "AND": self.and_, "OR": self.or_, "XOR": self.xor,
             "ADD": self.add, "SUB": self.sub, "MUL": self.mul,
@@ -265,7 +250,6 @@ class ValueSetOps:
         op: Callable[[MaskedSymbol, MaskedSymbol], tuple[MaskedSymbol, FlagBits]],
         x: ValueSet,
         y: ValueSet,
-        kernel: Callable[[ValueSet, ValueSet], tuple[set, set] | None] | None = None,
     ) -> tuple[ValueSet, frozenset[FlagBits]]:
         memo_key = (op_name, x._id, y._id)
         cached = self._memo.get(memo_key)
@@ -282,10 +266,6 @@ class ValueSetOps:
             raise PrecisionLoss(
                 f"operand product too large: {len(x)} x {len(y)} masked symbols"
             )
-        if kernel is not None and len(x) * len(y) >= VEC_MIN_PAIRS:
-            bulk = kernel(x, y)
-            if bulk is not None:
-                return self._finalize_lift(memo_key, *bulk)
         results: set[MaskedSymbol] = set()
         flags: set[FlagBits] = set()
         for element_x in x:
@@ -361,13 +341,8 @@ class ValueSetOps:
             raise PrecisionLoss(
                 f"operand product too large: {len(x)} x {len(y)} masked symbols"
             )
-        vec = self.vec
-        bulk = None
-        if vec is not None and len(x) * len(y) >= VEC_MIN_PAIRS:
-            bulk = vec.lift_boolean(op_name, x, y)
-        if bulk is None:
-            bulk = self.masked.boolean_bulk(op_name, x.elements, y.elements)
-        return self._finalize_lift(memo_key, *bulk)
+        results, flags = self.masked.boolean_bulk(op_name, x.elements, y.elements)
+        return self._finalize_lift(memo_key, results, flags)
 
     def xor(self, x: ValueSet, y: ValueSet):
         """Lifted bitwise XOR (bulk-inlined product, same memo/cap rules)."""
@@ -379,20 +354,12 @@ class ValueSetOps:
             raise PrecisionLoss(
                 f"operand product too large: {len(x)} x {len(y)} masked symbols"
             )
-        vec = self.vec
-        bulk = None
-        if vec is not None and len(x) * len(y) >= VEC_MIN_PAIRS:
-            bulk = vec.lift_boolean("XOR", x, y)
-        if bulk is None:
-            bulk = self.masked.xor_bulk(x.elements, y.elements)
-        return self._finalize_lift(memo_key, *bulk)
+        results, flags = self.masked.xor_bulk(x.elements, y.elements)
+        return self._finalize_lift(memo_key, results, flags)
 
     def add(self, x: ValueSet, y: ValueSet):
-        """Lifted addition (all-constant products go through the vector
-        tier; symbolic ADD keeps the stateful §5.4.2 succ-table path)."""
-        vec = self.vec
-        kernel = vec.lift_add_const if vec is not None else None
-        return self._lift_binary("ADD", self.masked.add, x, y, kernel=kernel)
+        """Lifted addition."""
+        return self._lift_binary("ADD", self.masked.add, x, y)
 
     def sub(self, x: ValueSet, y: ValueSet):
         """Lifted subtraction."""
@@ -435,11 +402,6 @@ class ValueSetOps:
         if cached is not None:
             return cached
         counts = amounts.constant_values()
-        vec = self.vec
-        if vec is not None and len(counts) * len(x) >= VEC_MIN_PAIRS:
-            bulk = vec.lift_shift_const(op_name, x, counts)
-            if bulk is not None:
-                return self._finalize_lift(memo_key, *bulk)
         results: set[MaskedSymbol] = set()
         flags: set[FlagBits] = set()
         for count in counts:

@@ -1,480 +1,20 @@
-"""Vectorized (numpy) kernels for the masked-symbol domain (ROADMAP item 2).
+"""The installed numpy version, read without importing numpy.
 
-The pairwise liftings of :class:`~repro.core.valueset.ValueSetOps` walk a
-Python-level cross product of masked symbols.  This module batches that
-product: each interned :class:`~repro.core.valueset.ValueSet` gets a packed
-array view (parallel ``uint64`` known/value arrays plus the symbol ids), and
-the AND/OR/XOR/ADD/shift transformers run as broadcasted numpy expressions
-over whole products at once, deduplicating results *before* any Python
-object is built.
-
-Bit-identity contract
----------------------
-The scalar lifting inserts results and flags into plain ``set``\\ s in pair
-order (x outer, y inner), and CPython set layout — hence frozenset iteration
-order, hence downstream fresh-symbol allocation order, hence every figure
-count — depends on the *insertion order of distinct elements* (duplicate
-inserts are no-ops).  The kernels therefore reconstruct exactly that order:
-
-- every pair is classified (constant result / kept symbol / fresh symbol)
-  with the same formulas and the same precedence as ``MaskedOps``;
-- distinct results are found with vectorized first-occurrence deduplication
-  and the Python objects are created in ascending first-occurrence pair
-  index — the order the scalar loop would have created them;
-- fresh-symbol pairs never deduplicate (each allocates a new id), and their
-  ascending pair index *is* the scalar allocation order, so the symbol table
-  advances identically;
-- flag classes are deduplicated the same way.
-
-Anything the formulas cannot classify exactly (symbolic ``ADD``/``SUB``/
-``MUL``, symbolic shift operands, widths above 32 bits) stays on the scalar
-path — the kernels decline rather than approximate.
-
-numpy is optional: when it is missing the tier disables itself with a
-one-line warning and everything runs pure-Python (see ``pyproject.toml``'s
-``[vector]`` extra).
+The analysis is pure standard-library Python and never imports numpy; this
+one helper remains for tools that record the machine environment beside
+their timings.
 """
 
 from __future__ import annotations
 
-import os
-import sys
+from importlib import metadata
 
-from repro.core.masked import FlagBits, MaskedSymbol
-from repro.core.mask import Mask
-from repro.core.symbols import SymbolInfo, SymbolKind
-
-try:  # pragma: no cover - exercised via the HAVE_NUMPY branch in tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-__all__ = [
-    "HAVE_NUMPY",
-    "NO_VECTORIZE_ENV",
-    "VEC_MIN_PAIRS",
-    "VectorKernels",
-    "numpy_version",
-    "vectorization_enabled",
-]
-
-HAVE_NUMPY = _np is not None
-
-#: Kill switch honored by :func:`vectorization_enabled` (mirrors
-#: ``REPRO_NO_SPECIALIZE``): any non-empty value disables the tier,
-#: including in sweep pool workers, which inherit the environment.
-NO_VECTORIZE_ENV = "REPRO_NO_VECTORIZE"
-
-#: Smallest cross-product size worth dispatching to numpy.  Below this the
-#: ufunc setup overhead loses to the scalar loop (measured on the 1-CPU
-#: container: the all-constant kernels cross over around 32 pairs).
-VEC_MIN_PAIRS = 32
-
-#: The general boolean kernel carries per-pair classification (keep/fresh
-#: side conditions) on top of the arithmetic, and fresh-symbol pairs still
-#: assemble one Python object each, so products with symbolic elements need
-#: to be much larger before numpy wins (measured on the fig14 lookup
-#: kernels, whose 128-pair products are ~45% fresh and break even at best).
-VEC_MIN_PAIRS_MIXED = 256
-
-#: The packed views pack ``(known << 32) | value`` into one uint64 key, so
-#: the kernels only engage for widths up to 32 bits (every analyzed target).
-VEC_MAX_WIDTH = 32
-
-_warned_missing = False
+__all__ = ["numpy_version"]
 
 
 def numpy_version() -> str | None:
-    """The numpy version string, or None when numpy is unavailable."""
-    return _np.__version__ if HAVE_NUMPY else None
-
-
-def vectorization_enabled(config) -> bool:
-    """Resolve the config knob, the env kill switch, and numpy availability."""
-    if not getattr(config, "vectorize", True):
-        return False
-    if os.environ.get(NO_VECTORIZE_ENV):
-        return False
-    if not HAVE_NUMPY:
-        global _warned_missing
-        if not _warned_missing:
-            _warned_missing = True
-            print("repro: numpy not available; vectorized kernels disabled "
-                  "(pure-Python fallback)", file=sys.stderr)
-        return False
-    return True
-
-
-class _PackedView:
-    """Parallel-array view of one interned ValueSet, in frozenset order."""
-
-    __slots__ = ("elements", "known", "value", "syms", "all_const")
-
-    def __init__(self, value_set) -> None:
-        elements = tuple(value_set.elements)
-        n = len(elements)
-        self.elements = elements
-        self.known = _np.fromiter(
-            (e.mask.known for e in elements), dtype=_np.uint64, count=n)
-        self.value = _np.fromiter(
-            (e.mask.value for e in elements), dtype=_np.uint64, count=n)
-        self.syms = _np.fromiter(
-            (-1 if e.sym is None else e.sym for e in elements),
-            dtype=_np.int64, count=n)
-        self.all_const = not bool((self.syms >= 0).any())
-
-
-def _first_occurrence_pairs(a, b):
-    """Ascending first-occurrence indices of each distinct ``(a[i], b[i])``."""
-    np = _np
-    order = np.lexsort((b, a))
-    a_sorted = a[order]
-    b_sorted = b[order]
-    boundary = np.empty(len(order), dtype=bool)
-    boundary[0] = True
-    boundary[1:] = ((a_sorted[1:] != a_sorted[:-1])
-                    | (b_sorted[1:] != b_sorted[:-1]))
-    firsts = np.minimum.reduceat(order, np.flatnonzero(boundary))
-    firsts.sort()
-    return firsts
-
-
-def _first_occurrence(codes):
-    """Ascending first-occurrence indices of each distinct code."""
-    _, firsts = _np.unique(codes, return_index=True)
-    firsts.sort()
-    return firsts
-
-
-# zf/sf field decode for the 3-valued flag classes (index 2 means unknown).
-_TRIT = (0, 1, None)
-
-
-class VectorKernels:
-    """Batched abstract transformers bound to one MaskedOps/symbol table.
-
-    Packed views are cached by the operand set's interned ``_id``; like the
-    lifting memo they live for one :class:`~repro.analysis.state.AnalysisContext`.
-    The ``ops``/``pairs``/``scalar_pairs`` counters feed the ``vec_*`` fields
-    of :class:`~repro.analysis.engine.SchedulerStats`.
-    """
-
-    __slots__ = ("masked", "width", "_full", "_sign_shift", "_views",
-                 "_all_const", "ops", "pairs", "scalar_pairs")
-
-    def __init__(self, masked_ops) -> None:
-        if not HAVE_NUMPY:
-            raise RuntimeError("VectorKernels requires numpy")
-        if masked_ops.width > VEC_MAX_WIDTH:
-            raise ValueError(
-                f"vectorized kernels support widths up to {VEC_MAX_WIDTH}, "
-                f"got {masked_ops.width}")
-        self.masked = masked_ops
-        self.width = masked_ops.width
-        self._full = _np.uint64((1 << self.width) - 1)
-        self._sign_shift = _np.uint64(self.width - 1)
-        self._views: dict[int, _PackedView] = {}
-        self._all_const: dict[int, bool] = {}
-        self.ops = 0
-        self.pairs = 0
-        self.scalar_pairs = 0
-
-    def view(self, value_set) -> _PackedView:
-        """The packed view of an interned set (cached by ``_id``)."""
-        packed = self._views.get(value_set._id)
-        if packed is None:
-            packed = _PackedView(value_set)
-            self._views[value_set._id] = packed
-            self._all_const[value_set._id] = packed.all_const
-        return packed
-
-    def is_all_const(self, value_set) -> bool:
-        """Whether every element is constant, without packing any arrays.
-
-        Declining a product must be much cheaper than lifting it — most
-        products are small — so this flag is cached by ``_id`` independently
-        of the packed view.
-        """
-        flag = self._all_const.get(value_set._id)
-        if flag is None:
-            flag = all(element.is_constant for element in value_set)
-            self._all_const[value_set._id] = flag
-        return flag
-
-    # ------------------------------------------------------------------
-    # AND / OR / XOR
-    # ------------------------------------------------------------------
-    def lift_boolean(self, op_name: str, x, y):
-        """The full AND/OR/XOR product as ``(results, flags)`` sets, or None
-        when the product is too small for the general kernel to pay off.
-
-        Matches ``MaskedOps.boolean_bulk``/``xor_bulk`` bit for bit: same
-        known/value formulas, same keep-the-symbol side conditions and
-        precedence, fresh symbols allocated in ascending pair index.
-        """
-        np = _np
-        if self.is_all_const(x) and self.is_all_const(y):
-            return self._boolean_const(op_name, self.view(x), self.view(y))
-        if len(x) * len(y) < VEC_MIN_PAIRS_MIXED:
-            return None
-        vx = self.view(x)
-        vy = self.view(y)
-        nx = len(vx.elements)
-        ny = len(vy.elements)
-        full = self._full
-        xk = vx.known[:, None]
-        xv = vx.value[:, None]
-        yk = vy.known[None, :]
-        yv = vy.value[None, :]
-        xs = vx.syms[:, None]
-        ys = vy.syms[None, :]
-        has_x = xs >= 0
-        same = has_x & (xs == ys)
-        if op_name == "AND":
-            known2 = ((xk & yk) | (xk & ~xv) | (yk & ~yv)) & full
-            value2 = xv & yv
-            x_neutral = xk & xv
-            y_neutral = yk & yv
-        elif op_name == "OR":
-            known2 = ((xk & yk) | (xk & xv) | (yk & yv)) & full
-            value2 = xv | yv
-            x_neutral = xk & ~xv
-            y_neutral = yk & ~yv
-        else:  # XOR: coinciding symbols cancel on doubly-symbolic positions
-            known2 = xk & yk
-            known2 = np.where(same, known2 | (~(xk | yk) & full), known2)
-            value2 = (xv ^ yv) & known2
-            x_neutral = xk & ~xv
-            y_neutral = yk & ~yv
-
-        zero = np.uint64(0)
-        is_full2 = known2 == full
-        symbolic2 = ~known2 & full
-        # Keep-the-symbol side conditions, with the same precedence as the
-        # scalar loop: same-symbol (AND/OR only), then keep-x, then keep-y.
-        keep_x2 = has_x & ((symbolic2 & (xk | ~y_neutral)) == zero)
-        keep_y2 = (ys >= 0) & ((symbolic2 & (yk | ~x_neutral)) == zero)
-        if op_name != "XOR":
-            keep_x2 = keep_x2 | same
-        keep_x2 = keep_x2 & ~is_full2
-        keep_y2 = keep_y2 & ~(is_full2 | keep_x2)
-        fresh2 = ~(is_full2 | keep_x2 | keep_y2)
-
-        shape = (nx, ny)
-        known = known2.reshape(-1)
-        value = value2.reshape(-1)
-        is_full = is_full2.reshape(-1)
-
-        # One int64 identity key per pair: -1 for constants (the uint64
-        # known/value key alone identifies them), the kept symbol id, or a
-        # unique negative for fresh pairs (they never deduplicate).
-        res_sym = np.full(nx * ny, -1, dtype=np.int64)
-        res_sym[keep_x2.reshape(-1)] = np.broadcast_to(xs, shape)[keep_x2]
-        res_sym[keep_y2.reshape(-1)] = np.broadcast_to(ys, shape)[keep_y2]
-        fresh_idx = np.flatnonzero(fresh2.reshape(-1))
-        res_sym[fresh_idx] = -(fresh_idx + 2)
-        kv = (known << np.uint64(32)) | value
-
-        # Flag classes: zf/sf three-valued, cf = of = 0 always.
-        sgn = ((value >> self._sign_shift) & np.uint64(1)).astype(np.int64)
-        known_sign = ((known >> self._sign_shift) & np.uint64(1)) != zero
-        zf_code = np.where(is_full, np.where(value == zero, 1, 0),
-                           np.where(value != zero, 0, 2))
-        sf_code = np.where(known_sign, sgn, 2)
-        flag_code = zf_code * 3 + sf_code
-
-        self.ops += 1
-        self.pairs += nx * ny
-        self.scalar_pairs += len(fresh_idx)
-        return (
-            self._assemble_results(op_name, vx, vy, ny, kv, res_sym),
-            self._assemble_bool_flags(flag_code),
-        )
-
-    def _boolean_const(self, op_name, vx, vy):
-        """AND/OR/XOR over two all-constant sets: every result is an exact
-        constant, so only the value needs deduplicating."""
-        np = _np
-        if op_name == "AND":
-            value = (vx.value[:, None] & vy.value[None, :]).reshape(-1)
-        elif op_name == "OR":
-            value = (vx.value[:, None] | vy.value[None, :]).reshape(-1)
-        else:
-            value = ((vx.value[:, None] ^ vy.value[None, :])
-                     & self._full).reshape(-1)
-        zf = (value == np.uint64(0)).astype(np.int64)
-        sf = ((value >> self._sign_shift) & np.uint64(1)).astype(np.int64)
-        flag_code = zf * 2 + sf
-
-        self.ops += 1
-        self.pairs += len(value)
-        width = self.width
-        results: set = set()
-        for concrete in value[_first_occurrence(value)].tolist():
-            results.add(MaskedSymbol.constant(concrete, width))
-        flags: set = set()
-        for code in flag_code[_first_occurrence(flag_code)].tolist():
-            flags.add(FlagBits(zf=code >> 1, cf=0, sf=code & 1, of=0))
-        return results, flags
-
-    def _assemble_results(self, op_name, vx, vy, ny, kv, res_sym):
-        """Build the result set in scalar first-occurrence insertion order."""
-        np = _np
-        firsts = _first_occurrence_pairs(kv, res_sym)
-        width = self.width
-        table = self.masked.table
-        infos = table._infos
-        derived = SymbolKind.DERIVED
-        obj_new = object.__new__
-        results: set = set()
-        add_result = results.add
-        kv_list = kv[firsts].tolist()
-        sym_list = res_sym[firsts].tolist()
-        for pair_index, packed, sym in zip(firsts.tolist(), kv_list, sym_list):
-            value = packed & 0xFFFFFFFF
-            if sym == -1:
-                add_result(MaskedSymbol.constant(value, width))
-                continue
-            mask = Mask(packed >> 32, value, width)
-            if sym >= 0:
-                add_result(MaskedSymbol(sym=sym, mask=mask))
-                continue
-            # Fresh pair: replay the scalar loop's inlined allocation with
-            # the original operand elements as provenance, in ascending pair
-            # index — the scalar allocation order.
-            element_x = vx.elements[pair_index // ny]
-            element_y = vy.elements[pair_index % ny]
-            ident = table._next
-            table._next = ident + 1
-            infos[ident] = SymbolInfo(ident, None, derived,
-                                      (op_name, element_x, element_y))
-            result = obj_new(MaskedSymbol)
-            result.sym = ident
-            result.mask = mask
-            result.is_constant = False
-            result._hash = hash((ident, mask))
-            add_result(result)
-        return results
-
-    @staticmethod
-    def _assemble_bool_flags(flag_code):
-        """Distinct AND/OR/XOR flag classes in first-occurrence order."""
-        flags: set = set()
-        for code in flag_code[_first_occurrence(flag_code)].tolist():
-            flags.add(FlagBits(zf=_TRIT[code // 3], cf=0,
-                               sf=_TRIT[code % 3], of=0))
-        return flags
-
-    # ------------------------------------------------------------------
-    # ADD (all-constant operands only)
-    # ------------------------------------------------------------------
-    def lift_add_const(self, x, y):
-        """The ADD product when both sets are all-constant, or None.
-
-        Symbolic ADD routes through the stateful §5.4.2 succ-table and stays
-        scalar; constant pairs are exact (``FlagBits.exact``), so the whole
-        product vectorizes.
-        """
-        np = _np
-        if not (self.is_all_const(x) and self.is_all_const(y)):
-            return None
-        vx = self.view(x)
-        vy = self.view(y)
-        full = self._full
-        one = np.uint64(1)
-        nx, ny = len(vx.elements), len(vy.elements)
-        total = (vx.value[:, None] + vy.value[None, :]).reshape(-1)
-        value = total & full
-        carry = ((total >> np.uint64(self.width)) & one).astype(np.int64)
-        sx = np.broadcast_to(
-            ((vx.value >> self._sign_shift) & one)[:, None], (nx, ny)
-        ).reshape(-1).astype(np.int64)
-        sy = np.broadcast_to(
-            ((vy.value >> self._sign_shift) & one)[None, :], (nx, ny)
-        ).reshape(-1).astype(np.int64)
-        sr = ((value >> self._sign_shift) & one).astype(np.int64)
-        overflow = ((sx == sy) & (sr != sx)).astype(np.int64)
-        zf = (value == np.uint64(0)).astype(np.int64)
-        flag_code = zf | (carry << 1) | (sr << 2) | (overflow << 3)
-
-        self.ops += 1
-        self.pairs += len(value)
-
-        width = self.width
-        results: set = set()
-        for concrete in value[_first_occurrence(value)].tolist():
-            results.add(MaskedSymbol.constant(concrete, width))
-        flags: set = set()
-        for code in flag_code[_first_occurrence(flag_code)].tolist():
-            flags.add(FlagBits(zf=code & 1, cf=(code >> 1) & 1,
-                               sf=(code >> 2) & 1, of=(code >> 3) & 1))
-        return results, flags
-
-    # ------------------------------------------------------------------
-    # SHL / SHR / SAR (all-constant operand only)
-    # ------------------------------------------------------------------
-    def lift_shift_const(self, op_name: str, x, counts):
-        """The shift product when the operand set is all-constant, or None.
-
-        ``counts`` is the shift-count iterable in the scalar iteration order
-        (counts outer, elements inner); each count's distinct results are
-        inserted first-occurrence-ordered, and cross-count duplicates are
-        set no-ops exactly as in the scalar loop.
-        """
-        np = _np
-        if not self.is_all_const(x):
-            return None
-        vx = self.view(x)
-        full = self._full
-        width = self.width
-        values = vx.value
-        results: set = set()
-        flags: set = set()
-        total_pairs = 0
-        for count in counts:
-            count %= width
-            shift = np.uint64(count)
-            if op_name == "SHL":
-                shifted = (values << shift) & full
-                sf = ((shifted >> self._sign_shift) & np.uint64(1)
-                      ).astype(np.int64)
-            elif op_name == "SHR":
-                shifted = values >> shift
-                sf = np.zeros(len(values), dtype=np.int64)
-            else:  # SAR: arithmetic shift via sign-extended int64
-                signed = values.astype(np.int64)
-                signed = np.where(
-                    (values >> self._sign_shift) & np.uint64(1) == np.uint64(1),
-                    signed - (1 << width), signed)
-                shifted = (signed >> count).astype(np.uint64) & full
-                sf = ((shifted >> self._sign_shift) & np.uint64(1)
-                      ).astype(np.int64)
-            zf = (shifted == np.uint64(0)).astype(np.int64)
-            flag_code = zf * 2 + sf
-            total_pairs += len(values)
-            for concrete in shifted[_first_occurrence(shifted)].tolist():
-                results.add(MaskedSymbol.constant(concrete, width))
-            for code in flag_code[_first_occurrence(flag_code)].tolist():
-                flags.add(FlagBits(zf=code >> 1, sf=code & 1))
-        self.ops += 1
-        self.pairs += total_pairs
-        return results, flags
-
-    # ------------------------------------------------------------------
-    # Projection (all-constant address sets)
-    # ------------------------------------------------------------------
-    def project_constant_keys(self, values, offset_bits: int):
-        """Distinct ``("const", v >> b)`` keys of an all-constant set, as a
-        first-occurrence-ordered frozenset — or None when any element is
-        symbolic.  Matches ``project_element`` on constants for every
-        ``offset_bits`` (including 0) and either projection policy.
-        """
-        if not self.is_all_const(values):
-            return None
-        view = self.view(values)
-        if offset_bits >= self.width:
-            return frozenset((("const", 0),))
-        shifted = view.value >> _np.uint64(offset_bits)
-        keys = [("const", v)
-                for v in shifted[_first_occurrence(shifted)].tolist()]
-        return frozenset(keys)
+    """The installed numpy version string, or None when numpy is absent."""
+    try:
+        return metadata.version("numpy")
+    except metadata.PackageNotFoundError:
+        return None

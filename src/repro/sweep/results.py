@@ -33,7 +33,6 @@ from repro.core.adversary import AdversaryBound
 from repro.core.atomicio import atomic_write_json
 from repro.core.leakage import LeakageReport, ObservationBound
 from repro.core.observers import AccessKind
-from repro.core.vectorize import numpy_version
 
 __all__ = ["AdversaryRow", "BoundRow", "METRICS_SCHEMA", "STATUSES",
            "SweepResult", "ResultStore", "load_bench_log",
@@ -51,7 +50,12 @@ STORE_VERSION = 1
 # removed, or renamed; the store invalidates cached entries written under a
 # different schema.  Schema 1 is the implicit pre-versioning era (payloads
 # with no "metrics_schema" key), retired when the observability layer
-# landed.
+# landed.  Retiring the numpy tier's three batch counters (ops, pairs and
+# scalar pairs) kept schema 2 on purpose: they were mode-sensitive counters
+# (zero with the tier off), which the catalogue golden's result hashes leave
+# out while hashing the schema number itself, so a bump would have rewritten
+# every golden hash without any computed value changing.  Entries stored
+# with those keys only carry three extra execution counters.
 METRICS_SCHEMA = 2
 
 
@@ -65,7 +69,6 @@ def _bench_environment() -> dict:
     return {
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
-        "numpy": numpy_version(),
     }
 
 

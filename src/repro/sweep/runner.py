@@ -114,11 +114,9 @@ def _engine_metrics(engine_result) -> dict:
     hash-consing layer; `AnalysisContext` clears the tables per analysis, so
     they are a pure function of the scenario (pool and inline runs agree).
     The ``spec_*``/``interp_steps`` counters additionally depend on the
-    specialization mode (``--no-specialize`` zeroes ``spec_*``), the
-    ``vec_*`` counters on the vectorization mode (``--no-vectorize`` or a
-    missing numpy zeroes them), and ``cache_evictions`` on process history —
-    it stays 0 until a process has compiled more distinct programs than the
-    compile-tier cache cap.
+    specialization mode (``--no-specialize`` zeroes ``spec_*``), and
+    ``cache_evictions`` on process history — it stays 0 until a process has
+    compiled more distinct programs than the compile-tier cache cap.
     """
     scheduler = engine_result.scheduler
     return {
@@ -140,9 +138,6 @@ def _engine_metrics(engine_result) -> dict:
         "lift_memo_hits": scheduler.lift_memo_hits,
         "lift_memo_misses": scheduler.lift_memo_misses,
         "lift_memo_evictions": scheduler.lift_memo_evictions,
-        "vec_ops": scheduler.vec_ops,
-        "vec_pairs": scheduler.vec_pairs,
-        "vec_scalar_pairs": scheduler.vec_scalar_pairs,
         "vs_intern_hits": scheduler.vs_intern_hits,
         "vs_intern_misses": scheduler.vs_intern_misses,
         "sym_intern_hits": scheduler.sym_intern_hits,

@@ -48,7 +48,6 @@ MODE_SENSITIVE_METRICS = frozenset((
     "lift_memo_hits", "lift_memo_misses", "lift_memo_evictions",
     "vs_intern_hits", "vs_intern_misses",
     "sym_intern_hits", "sym_intern_misses",
-    "vec_ops", "vec_pairs", "vec_scalar_pairs",
 ))
 
 

@@ -14,24 +14,10 @@ from repro.casestudy.scenarios import all_scenarios, hierarchy_scenarios
 from repro.sweep.results import ResultStore, SweepResult
 from repro.sweep.runner import execute_scenario
 from repro.sweep.scenario import Scenario
+from tests.analysis.test_specialize import MODE_SENSITIVE_METRICS
 
 GOLDEN_PATH = (Path(__file__).resolve().parents[1]
                / "data" / "catalogue_golden.json")
-
-# Engine metrics that legitimately differ across execution modes
-# (specialize/vectorize tiers on or off) — everything *else* in the result
-# payload, bounds and adversary rows included, must match byte for byte.
-# Kept in sync with tests/analysis/test_specialize.py.
-MODE_SENSITIVE_METRICS = frozenset((
-    "spec_blocks", "spec_block_runs", "spec_steps", "interp_steps",
-    "cache_evictions",
-    "decode_hits", "decode_misses",
-    "projection_hits", "projection_misses",
-    "lift_memo_hits", "lift_memo_misses", "lift_memo_evictions",
-    "vs_intern_hits", "vs_intern_misses",
-    "sym_intern_hits", "sym_intern_misses",
-    "vec_ops", "vec_pairs", "vec_scalar_pairs",
-))
 
 
 def _sha256(payload) -> str:

@@ -1,6 +1,10 @@
 """The ``python -m repro`` CLI: listing, policy-grid sweeps, bench log."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -394,3 +398,26 @@ class TestSweepRobustness:
         monkeypatch.setenv(DEADLINE_ENV, "placeholder")
         main(["sweep", "sqm-O2-64B", "--jobs", "1", "--timeout", "60"])
         assert _os.environ.get(DEADLINE_ENV) == "60.0"
+
+
+_NUMPY_PROBE = """
+import sys
+import repro.__main__
+from repro.casestudy.scenarios import all_scenarios
+from repro.sweep.runner import execute_scenario
+result = execute_scenario(all_scenarios()["aes-O2-64B"])
+print(result.ok, sorted(name for name in sys.modules
+                        if name.split(".")[0] == "numpy"))
+"""
+
+
+def test_cli_and_an_analysis_never_load_numpy():
+    """The analysis is pure standard-library Python: neither importing the
+    CLI nor running a leakage analysis may pull numpy into the process."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], cwd=root,
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "[]"], proc.stdout

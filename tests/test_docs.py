@@ -7,14 +7,17 @@ Extracts from ``README.md`` and ``docs/*.md``:
   and asserts it exists in ``all_scenarios()`` or the figure runners;
 - every **pass name** token and asserts it is a registered transform pass;
 - every ``--flag`` token and asserts the flag exists somewhere in the
-  ``python -m repro`` argparse tree.
+  ``python -m repro`` argparse tree;
+- every ``REPRO_*`` environment variable name and asserts it is a string
+  literal somewhere under ``src/repro``.
 
-A renamed scenario, a dropped flag, or a typo in an example therefore
-fails the suite instead of rotting silently.
+A renamed scenario, a dropped flag or environment variable, or a typo in an
+example therefore fails the suite instead of rotting silently.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -34,6 +37,7 @@ SCENARIO_SHAPED = re.compile(
     r"|(sqm|sqam|lookup|secure|gather|scatter|defensive|naive|kernel|aes)"
     r"-[A-Za-z0-9_.{}|\[\],-]+)$")
 
+ENV_NAME = re.compile(r"\bREPRO_[A-Z0-9_]+")
 INLINE_CODE = re.compile(r"`([^`]+)`")
 FENCE = re.compile(r"^\s*```")
 
@@ -120,6 +124,13 @@ def _flag_tokens(path: Path) -> set[str]:
     return {flag.split("=", 1)[0].rstrip("\"',:;().") for flag in flags}
 
 
+def _env_tokens(path: Path) -> set[str]:
+    """``REPRO_*`` names in code spans (``REPRO_FAULT=kind:substr`` counts
+    as ``REPRO_FAULT``)."""
+    return {name for _kind, token in _code_tokens(path)
+            for name in ENV_NAME.findall(token)}
+
+
 def _argparse_flags() -> set[str]:
     parser = _build_parser()
     flags = {opt for action in parser._actions
@@ -154,6 +165,26 @@ def test_documented_flags_exist(path):
     assert not unknown, f"{path.name} references unknown CLI flags: {unknown}"
 
 
+@pytest.fixture(scope="module")
+def source_literals() -> set[str]:
+    """Every string literal in the package source."""
+    literals: set[str] = set()
+    for source in (REPO_ROOT / "src" / "repro").rglob("*.py"):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        literals.update(node.value for node in ast.walk(tree)
+                        if isinstance(node, ast.Constant)
+                        and isinstance(node.value, str))
+    return literals
+
+
+@pytest.mark.parametrize("path", DOC_FILES, ids=lambda p: p.name)
+def test_documented_env_vars_exist(path, source_literals):
+    unknown = sorted(name for name in _env_tokens(path)
+                     if name not in source_literals)
+    assert not unknown, (
+        f"{path.name} references unknown environment variables: {unknown}")
+
+
 def test_documented_passes_exist():
     # Every pass the docs mention is registered; and the registry's passes
     # are documented somewhere (the docs teach the full pipeline).
@@ -171,8 +202,10 @@ def test_extraction_is_not_vacuous():
     healthy number of checked tokens, or the extractor has gone blind."""
     scenario_count = sum(len(_scenario_tokens(path)) for path in DOC_FILES)
     flag_count = len(set().union(*(_flag_tokens(p) for p in DOC_FILES)))
+    env_count = len(set().union(*(_env_tokens(p) for p in DOC_FILES)))
     assert scenario_count >= 40, scenario_count
     assert flag_count >= 8, flag_count
+    assert env_count >= 8, env_count
 
 
 def test_readme_mentions_the_aes_example():
