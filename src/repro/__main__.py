@@ -6,17 +6,17 @@ Subcommands
   (``--filter SUBSTR`` narrows it, ``--policies`` shows the policy axis)
 - ``figure NAME... | --all``    — regenerate paper figures (paper-style tables)
 - ``run`` / ``sweep [NAME...]`` — run scenarios through the SweepRunner,
-  optionally pool-parallel (``--jobs``, warm-started workers with chunked
-  scheduling), selected by substring (``--select``), persisted
-  (``--store``), with per-scenario wall-clock timings appended to a
-  benchmark log (``--bench-out``), span-traced (``--trace OUT`` writes a
-  Chrome ``trace_event`` JSON viewable in Perfetto), and optionally
-  profiled (``--profile OUT`` dumps cProfile stats of the sweep; with
-  ``--jobs N`` the workers profile themselves and the stats are merged)
+  optionally pool-parallel (``--jobs``, warm-started workers with one
+  duration-balanced shard per worker), selected by substring
+  (``--select``), persisted (``--store``), with per-scenario wall-clock
+  timings appended to a benchmark log (``--bench-out``), span-traced
+  (``--trace OUT`` writes a Chrome ``trace_event`` JSON viewable in
+  Perfetto), and optionally profiled (``--profile OUT`` dumps cProfile
+  stats of the sweep; with ``--jobs N`` the workers profile themselves
+  and the stats are merged)
 - ``stats`` — inspect the observability outputs: summarize an exported
-  trace (``--trace FILE``), render/diff per-scenario engine counters from
-  result stores (``--store FILE [--against FILE]``), and diff
-  timings/memory across two BENCH logs (``--baseline``/``--current``)
+  trace (``--trace FILE``) and render/diff per-scenario engine counters
+  from result stores (``--store FILE [--against FILE]``)
 - ``transform NAME --passes P[,P...]`` — apply countermeasure passes to a
   base scenario, analyze original vs. transformed side by side, enforce the
   leakage ordering on the passes' targeted observers, and optionally replay
@@ -148,8 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     stats = commands.add_parser(
         "stats",
-        help="inspect observability outputs: traces, counter stores, "
-             "BENCH logs")
+        help="inspect observability outputs: traces and counter stores")
     stats.add_argument("--trace", default=None, metavar="FILE",
                        help="summarize an exported Chrome trace: span "
                             "totals by name, per-process breakdown")
@@ -159,11 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--against", default=None, metavar="FILE",
                        help="second result store: show per-scenario "
                             "counter deltas against --store")
-    stats.add_argument("--baseline", default=None, metavar="FILE",
-                       help="BENCH log to diff --current against "
-                            "(timings and cli/rss_mb memory entries)")
-    stats.add_argument("--current", default=None, metavar="FILE",
-                       help="freshly measured BENCH log (see --baseline)")
     stats.add_argument("--top", type=int, default=15,
                        help="rows per table (default 15)")
 
@@ -292,8 +286,8 @@ def _append_bench_log(path: str, results: list[SweepResult]) -> int:
     harness's per-figure entries.  When a result carries an environment
     block, its peak RSS lands as ``cli/rss_mb/<scenario>`` — a coarse
     (process-peak, hence monotone within a worker) memory figure that
-    ``stats --baseline/--current`` and ``bench-compare`` can diff to flag
-    memory regressions.  Returns the number of entries written.
+    ``bench-compare`` lists beside the timings, with its ratio to the
+    baseline.  Returns the number of entries written.
     """
     entries: dict[str, float] = {}
     for result in results:
@@ -645,69 +639,19 @@ def _stats_store(path: str, against: str | None, top: int) -> int:
     return 0
 
 
-def _stats_bench(baseline_path: str, current_path: str, top: int) -> int:
-    """Diff two BENCH logs: timing table plus memory (cli/rss_mb) table.
-
-    Informational (always exits 0 on readable inputs): regressions are
-    flagged in the output, but *gating* is ``bench-compare``'s job.
-    """
-    from repro.sweep.results import load_bench_log
-
-    baseline = load_bench_log(baseline_path)
-    current = load_bench_log(current_path)
-    if not baseline or not current:
-        missing = baseline_path if not baseline else current_path
-        print(f"no timings in {missing}", file=sys.stderr)
-        return 2
-    shared = sorted(set(baseline) & set(current))
-    if not shared:
-        print("no entries shared between the two logs", file=sys.stderr)
-        return 2
-    memory = [key for key in shared if key.startswith("cli/rss_mb/")]
-    timing = [key for key in shared if key not in set(memory)]
-
-    def table(title: str, keys: list[str], unit: str, flag_ratio: float):
-        if not keys:
-            return
-        ranked = sorted(
-            keys, key=lambda key: -(current[key] / baseline[key]
-                                    if baseline[key] > 0 else float("inf")))
-        print(f"{title} ({len(keys)} shared entries)")
-        print(f"{'entry':<56}{'base':>10}{'now':>10}{'ratio':>8}")
-        for key in ranked[:top]:
-            base, now = baseline[key], current[key]
-            ratio = now / base if base > 0 else float("inf")
-            flag = f"  <- {unit} regression" if ratio > flag_ratio else ""
-            print(f"{key:<56}{base:>10.3f}{now:>10.3f}{ratio:>8.2f}{flag}")
-        if len(ranked) > top:
-            print(f"({len(ranked) - top} more; raise --top)")
-        print()
-
-    table("timings (seconds)", timing, "timing", 2.0)
-    table("peak RSS (MB)", memory, "memory", 1.5)
-    return 0
-
-
 def _command_stats(args) -> int:
-    wants_bench = args.baseline is not None or args.current is not None
-    if not (args.trace or args.store or wants_bench):
-        print("nothing to do: pass --trace FILE, --store FILE "
-              "[--against FILE], or --baseline/--current", file=sys.stderr)
+    if not (args.trace or args.store):
+        print("nothing to do: pass --trace FILE or --store FILE "
+              "[--against FILE]", file=sys.stderr)
         return 2
     if args.against and not args.store:
         print("--against needs --store", file=sys.stderr)
-        return 2
-    if wants_bench and not (args.baseline and args.current):
-        print("--baseline and --current go together", file=sys.stderr)
         return 2
     status = 0
     if args.trace:
         status = max(status, _stats_trace(args.trace, args.top))
     if args.store:
         status = max(status, _stats_store(args.store, args.against, args.top))
-    if wants_bench:
-        status = max(status,
-                     _stats_bench(args.baseline, args.current, args.top))
     return status
 
 

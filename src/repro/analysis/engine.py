@@ -50,7 +50,6 @@ from repro.core.tracedag import EMPTY_ENDS, Cursor, EndSet, TraceDAG
 from repro.core.valueset import ValueSet
 from repro.core.valueset import intern_counters as valueset_intern_counters
 from repro.isa.image import Image
-from repro.obs import metrics as obs_metrics
 from repro.obs import timeline as obs_timeline
 from repro.obs import trace as obs_trace
 
@@ -102,7 +101,6 @@ class _ResourceGuard:
         if self.deadline_s is not None:
             elapsed = time.perf_counter() - self._t0
             if elapsed > self.deadline_s:
-                obs_metrics.REGISTRY.inc("engine.deadline_aborts")
                 raise ResourceLimitError(
                     "timeout",
                     f"deadline of {self.deadline_s:g}s exceeded after "
@@ -110,7 +108,6 @@ class _ResourceGuard:
         if self.max_rss_bytes is not None:
             rss = obs_timeline.current_rss_bytes()
             if rss > self.max_rss_bytes:
-                obs_metrics.REGISTRY.inc("engine.rss_aborts")
                 raise ResourceLimitError(
                     "oom",
                     f"RSS {rss} bytes exceeds the {self.max_rss_bytes}-byte "
@@ -145,6 +142,10 @@ class SchedulerStats:
     :class:`~repro.analysis.state.AnalysisContext` clears those tables when
     it is built, the counters are deterministic per scenario and quantify
     how much sharing the interning layer achieves.
+
+    Every field lands in the result payload under its own name (see
+    ``repro.sweep.runner._engine_metrics``), so adding, removing or
+    renaming one is a ``METRICS_SCHEMA`` change.
     """
 
     peak_heap_size: int = 0
@@ -531,7 +532,6 @@ class Engine:
                 for config in finished:
                     ends = ends.union(dag.finalize(config.cursors[slot]))
                 result.final_vertices[key] = ends
-        obs_metrics.publish_scheduler_stats(self.stats)
         run_span.arg("steps", result.steps)
         run_span.__exit__(None, None, None)
         return result

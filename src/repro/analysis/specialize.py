@@ -96,20 +96,9 @@ def compile_tier_evictions() -> int:
     return _PROGRAM_CACHE.evictions + compile_cache_evictions()
 
 
-def cache_counters() -> tuple[int, int, int]:
-    """(hits, misses, evictions) of the specialized-program cache."""
-    return (_PROGRAM_CACHE.hits, _PROGRAM_CACHE.misses,
-            _PROGRAM_CACHE.evictions)
-
-
 def clear_cache() -> None:
     """Drop the specialized-program cache (tests)."""
     _PROGRAM_CACHE.clear()
-
-
-def publish_cache_metrics(registry=None) -> None:
-    """Mirror the specialized-program cache into the metrics registry."""
-    _PROGRAM_CACHE.publish("specialized_programs", registry)
 
 
 class BoundBlock:

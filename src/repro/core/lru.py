@@ -73,21 +73,5 @@ class LRUCache:
         """Drop every entry (counters are preserved: they are monotonic)."""
         self._entries.clear()
 
-    def publish(self, name: str, registry=None) -> None:
-        """Mirror this cache's counters into a metrics registry.
-
-        ``name`` becomes the metric prefix (``cache.<name>.hits`` etc.);
-        the default registry is :data:`repro.obs.metrics.REGISTRY`.
-        Counters publish as gauges because they are monotonic totals, not
-        per-call increments.
-        """
-        from repro.obs import metrics
-
-        registry = registry if registry is not None else metrics.registry()
-        registry.set(f"cache.{name}.hits", self.hits)
-        registry.set(f"cache.{name}.misses", self.misses)
-        registry.set(f"cache.{name}.evictions", self.evictions)
-        registry.set(f"cache.{name}.size", len(self._entries))
-
 
 _MISSING = object()

@@ -70,11 +70,6 @@ def compile_cache_evictions() -> int:
     return _COMPILE_CACHE.evictions
 
 
-def publish_compile_cache_metrics(registry=None) -> None:
-    """Mirror the source→image compile memo into the metrics registry."""
-    _COMPILE_CACHE.publish("compiled_images", registry)
-
-
 def _cache_key(source: str, opt_level: int, kwargs: dict) -> tuple:
     frozen = tuple(
         (name, tuple(sorted(value.items())) if isinstance(value, dict) else value)

@@ -1,6 +1,6 @@
-"""Unified observability: span tracing, metrics registry, run timelines.
+"""Unified observability: span tracing and run timelines.
 
-Three cooperating modules, all default-off or read-only with respect to
+Two cooperating modules, both default-off or read-only with respect to
 analysis results (the on/off catalogue differential enforces bit-identical
 bounds):
 
@@ -8,16 +8,16 @@ bounds):
   JSON export (Perfetto-loadable), per-process buffers, and cross-process
   stitching for pool-parallel sweeps.  Enabled by ``--trace`` /
   ``REPRO_TRACE``.
-- :mod:`repro.obs.metrics` — process-wide counter/gauge/histogram registry
-  that the engine, intern tables, compile-tier caches, and the VM cost
-  model publish into, with deterministic snapshot/delta semantics.
 - :mod:`repro.obs.timeline` — periodic in-run sampling (worklist size,
   interning, steps/sec, peak RSS) attached to sweep results, plus the
   always-on per-scenario RSS/GC-pause probes.
 
-See ``docs/observability.md`` for the span taxonomy and CLI workflows.
+Counters are read where they are kept (``SchedulerStats`` in result
+payloads, the supervised pool's attributes, per-level ``CacheStats``), so
+this package holds none.  See ``docs/observability.md`` for the span
+taxonomy, the counter sources, and CLI workflows.
 """
 
-from repro.obs import metrics, timeline, trace
+from repro.obs import timeline, trace
 
-__all__ = ["metrics", "timeline", "trace"]
+__all__ = ["timeline", "trace"]

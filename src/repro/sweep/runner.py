@@ -30,6 +30,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
+from dataclasses import fields
 from dataclasses import replace as dataclass_replace
 from typing import Iterable
 
@@ -110,6 +111,8 @@ def _guarded_config(config):
 def _engine_metrics(engine_result) -> dict:
     """Deterministic engine counters recorded alongside the bounds.
 
+    Every :class:`~repro.analysis.engine.SchedulerStats` field lands here
+    under its own name, so a counter is declared once, on that dataclass.
     The intern counters are per-run deltas of the abstract domain's
     hash-consing layer; `AnalysisContext` clears the tables per analysis, so
     they are a pure function of the scenario (pool and inline runs agree).
@@ -119,30 +122,15 @@ def _engine_metrics(engine_result) -> dict:
     compiled more distinct programs than the compile-tier cache cap.
     """
     scheduler = engine_result.scheduler
-    return {
+    metrics = {
         "steps": engine_result.steps,
         "max_configs": engine_result.max_configs,
         "merges": engine_result.merges,
         "forks": engine_result.forks,
-        "peak_heap_size": scheduler.peak_heap_size,
-        "full_sorts": scheduler.full_sorts,
-        "spec_blocks": scheduler.spec_blocks,
-        "spec_block_runs": scheduler.spec_block_runs,
-        "spec_steps": scheduler.spec_steps,
-        "interp_steps": scheduler.interp_steps,
-        "cache_evictions": scheduler.cache_evictions,
-        "decode_hits": scheduler.decode_hits,
-        "decode_misses": scheduler.decode_misses,
-        "projection_hits": scheduler.projection_hits,
-        "projection_misses": scheduler.projection_misses,
-        "lift_memo_hits": scheduler.lift_memo_hits,
-        "lift_memo_misses": scheduler.lift_memo_misses,
-        "lift_memo_evictions": scheduler.lift_memo_evictions,
-        "vs_intern_hits": scheduler.vs_intern_hits,
-        "vs_intern_misses": scheduler.vs_intern_misses,
-        "sym_intern_hits": scheduler.sym_intern_hits,
-        "sym_intern_misses": scheduler.sym_intern_misses,
     }
+    for spec in fields(scheduler):
+        metrics[spec.name] = getattr(scheduler, spec.name)
+    return metrics
 
 
 def execute_scenario(scenario: Scenario) -> SweepResult:

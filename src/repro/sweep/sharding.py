@@ -8,8 +8,8 @@ replaces count balancing with *duration* balancing:
 
 - :func:`predict_costs` estimates each scenario's runtime, preferring real
   wall-clock timings from a ``BENCH_sweep.json``-style log (matched by
-  scenario name against the log's test ids) and falling back to a size
-  heuristic derived from the scenario's declarative fields;
+  scenario name against the log's CLI keys and test ids) and falling back
+  to a size heuristic derived from the scenario's declarative fields;
 - :func:`calculate_shards` assigns scenarios to one shard per worker with
   the classic greedy longest-processing-time rule: place the most expensive
   remaining scenario on the least-loaded shard.
@@ -64,11 +64,13 @@ def predict_costs(scenarios: list[Scenario],
                   timings: dict[str, float] | None) -> list[float]:
     """Predicted runtime per scenario, in input order.
 
-    A timing log entry matches a scenario when the scenario's name appears
-    in the entry's key (bench keys are pytest node ids like
-    ``benchmarks/bench_fig14_lookup.py::test_figure14b_full_limbs``, CLI
-    keys are ``cli/sweep/<scenario>``); the largest match wins, as the log
-    may record both a toy-geometry and a full-geometry variant and
+    A timing log entry matches a scenario named ``name`` when its key is
+    the CLI key ``cli/sweep/<name>``, or a pytest node id whose test is
+    ``test_<name>`` or ``test_<name>_<variant>`` (e.g.
+    ``benchmarks/bench_fig14_lookup.py::test_figure14b_full_limbs``).  A
+    plain substring match would hand ``aes-O2-64B`` the time of
+    ``cli/sweep/aes-O2-64B-preload-aligned``.  The largest match wins, as
+    the log may record both a toy-geometry and a full-geometry variant and
     over-estimating an expensive scenario is the safe direction for the
     longest-first packer.  Unmatched scenarios fall back to
     :func:`heuristic_cost`.
@@ -79,13 +81,23 @@ def predict_costs(scenarios: list[Scenario],
         if timings:
             name = scenario.name
             matches = [value for key, value in timings.items()
-                       if name in key and isinstance(value, (int, float))]
+                       if _measures(key, name)
+                       and isinstance(value, (int, float))]
             if matches:
                 predicted = float(max(matches))
         if predicted is None or predicted <= 0:
             predicted = heuristic_cost(scenario)
         costs.append(predicted)
     return costs
+
+
+def _measures(key: str, name: str) -> bool:
+    """Whether the timing-log ``key`` timed the scenario ``name``."""
+    if key == f"cli/sweep/{name}":
+        return True
+    _, separator, test = key.rpartition("::")
+    return bool(separator) and (test == f"test_{name}"
+                                or test.startswith(f"test_{name}_"))
 
 
 def calculate_shards(costs: list[float], n_shards: int) -> list[list[int]]:

@@ -26,9 +26,8 @@ processes and an event loop in the parent:
   failed :class:`~repro.sweep.results.SweepResult` — never silently
   dropped, and never written to the result store.
 
-The pool publishes ``sweep.retries`` / ``sweep.worker_deaths`` /
-``sweep.quarantined`` counters into the process metrics registry and
-mirrors them on the instance for the CLI's degraded-sweep summary.
+The pool counts ``retries`` / ``worker_deaths`` / ``quarantined`` on the
+instance, where the CLI's degraded-sweep summary reads them.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
 
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.sweep.results import SweepResult
 from repro.sweep.scenario import Scenario
@@ -135,7 +133,7 @@ class SupervisedPool:
         self.task_timeout_s = task_timeout_s
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
-        # Per-run telemetry, mirrored into the metrics registry.
+        # Supervision counters, read by the CLI's degraded-sweep summary.
         self.retries = 0
         self.worker_deaths = 0
         self.quarantined = 0
@@ -181,7 +179,6 @@ class SupervisedPool:
         def quarantine(index: int, scenario: Scenario, kind: str,
                        detail: str) -> None:
             self.quarantined += 1
-            obs_metrics.REGISTRY.inc("sweep.quarantined")
             status = "timeout" if kind == "timeout" else "error"
             settle(index, SweepResult(
                 scenario=scenario.name,
@@ -206,7 +203,6 @@ class SupervisedPool:
                 quarantine(index, scenario, kind, detail)
                 return
             self.retries += 1
-            obs_metrics.REGISTRY.inc("sweep.retries")
             backoff = min(
                 self.backoff_cap_s,
                 self.backoff_base_s * (2 ** (attempts[index] - 1)))
@@ -219,7 +215,6 @@ class SupervisedPool:
 
         def handle_death(worker: _Worker, kind: str, detail: str) -> None:
             self.worker_deaths += 1
-            obs_metrics.REGISTRY.inc("sweep.worker_deaths")
             task = worker.task
             worker.task = None
             if task is None:

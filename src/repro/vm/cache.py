@@ -31,7 +31,7 @@ nothing but block identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 __all__ = [
     "CacheConfig",
@@ -51,8 +51,6 @@ __all__ = [
     "EXCLUSIVE",
     "MEMORY",
     "default_hierarchy_spec",
-    "cache_counters",
-    "reset_cache_counters",
 ]
 
 
@@ -121,28 +119,6 @@ class CacheStats:
     @property
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
-
-
-# Process-wide totals of the maintenance counters above, mirrored into the
-# metrics registry by :func:`repro.obs.metrics.pull_domain_metrics` so the
-# ``stats`` CLI can diff them across runs like the intern-table gauges.
-_CACHE_COUNTERS = {
-    "evictions": 0,
-    "back_invalidations": 0,
-    "writebacks": 0,
-    "flushes": 0,
-}
-
-
-def cache_counters() -> dict[str, int]:
-    """Process-wide eviction/back-invalidation/writeback/flush totals."""
-    return dict(_CACHE_COUNTERS)
-
-
-def reset_cache_counters() -> None:
-    """Zero the process-wide counters (test isolation)."""
-    for key in _CACHE_COUNTERS:
-        _CACHE_COUNTERS[key] = 0
 
 
 class ReplacementPolicy:
@@ -455,7 +431,6 @@ class SetAssociativeCache:
         self.stats.misses += 1
         if self._policy_insert(state, tag) is not None:
             self.stats.evictions += 1
-            _CACHE_COUNTERS["evictions"] += 1
         return False
 
     # ------------------------------------------------------------------
@@ -487,7 +462,6 @@ class SetAssociativeCache:
         if victim_tag is None:
             return None
         self.stats.evictions += 1
-        _CACHE_COUNTERS["evictions"] += 1
         return (victim_tag << self._set_bits) | set_index
 
     def invalidate_block(self, block: int) -> bool:
@@ -514,7 +488,6 @@ class SetAssociativeCache:
             self.policy.reset(state)
         self.dirty.clear()
         self.stats.flushes += 1
-        _CACHE_COUNTERS["flushes"] += 1
 
     def resident_blocks(self) -> set[int]:
         """The set of block numbers currently cached (for inspection)."""
@@ -736,7 +709,6 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
     def _writeback(self, cache: SetAssociativeCache, block: int) -> None:
         cache.stats.writebacks += 1
-        _CACHE_COUNTERS["writebacks"] += 1
         if self.on_writeback is not None:
             self.on_writeback(block)
 
@@ -751,7 +723,6 @@ class CacheHierarchy:
             for l1 in self.l1s:
                 if l1.invalidate_block(block):
                     l1.stats.back_invalidations += 1
-                    _CACHE_COUNTERS["back_invalidations"] += 1
                     if block in l1.dirty:
                         l1.dirty.discard(block)
                         self._writeback(l1, block)

@@ -37,21 +37,6 @@ class PerfCounters:
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
 
-    def publish(self, registry=None, prefix: str = "vm") -> None:
-        """Accumulate these counters into the process metrics registry.
-
-        Counter increments (not gauge mirrors): one ``PerfCounters`` is
-        per-measurement state, while the registry keeps process totals.
-        """
-        from repro.obs import metrics
-
-        registry = registry if registry is not None else metrics.registry()
-        registry.inc(f"{prefix}.instructions", self.instructions)
-        registry.inc(f"{prefix}.cycles", self.cycles)
-        registry.inc(f"{prefix}.memory_accesses", self.memory_accesses)
-        registry.inc(f"{prefix}.cache_hits", self.cache_hits)
-        registry.inc(f"{prefix}.cache_misses", self.cache_misses)
-
 
 @dataclass
 class CostModel:

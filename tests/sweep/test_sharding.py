@@ -87,6 +87,16 @@ class TestPredictCosts:
                    "benchmarks/bench_x.py::test_lookup-O2-64B_full": 2.0}
         assert predict_costs([scenario], timings) == [2.0]
 
+    def test_longer_named_sibling_does_not_match(self):
+        # A scenario's name is a prefix of its variants' names; only its own
+        # CLI key may time it, not the slower variants that contain it.
+        scenarios = [_scenario("aes-O2-64B"), _scenario("lookup-O2-64B")]
+        timings = {"cli/sweep/aes-O2-64B": 0.1,
+                   "cli/sweep/aes-O2-64B-preload-aligned": 0.9,
+                   "cli/sweep/lookup-O2-64B": 0.02,
+                   "cli/sweep/lookup-O2-64B-hardened-llc-incl-lru": 0.4}
+        assert predict_costs(scenarios, timings) == [0.1, 0.02]
+
     def test_tolerates_missing_and_junk_logs(self):
         scenario = _scenario("lookup-O2-64B")
         fallback = heuristic_cost(scenario)

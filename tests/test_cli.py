@@ -274,7 +274,7 @@ class TestSweepTrace:
 
 
 class TestStats:
-    """`python -m repro stats`: trace summaries, counter diffs, BENCH diffs."""
+    """`python -m repro stats`: trace summaries and counter diffs."""
 
     def test_requires_a_mode(self, capsys):
         assert main(["stats"]) == 2
@@ -282,9 +282,6 @@ class TestStats:
 
     def test_against_requires_store(self, capsys):
         assert main(["stats", "--against", "x.json"]) == 2
-
-    def test_baseline_and_current_go_together(self, capsys):
-        assert main(["stats", "--baseline", "x.json"]) == 2
 
     def test_trace_summary(self, tmp_path, capsys, monkeypatch):
         from repro.obs import trace
@@ -332,27 +329,6 @@ class TestStats:
                      "--against", str(store)]) == 0
         out = capsys.readouterr().out
         assert "1 counter difference(s)" in out and "steps" in out
-
-    def test_bench_diff_flags_memory_regressions(self, tmp_path, capsys):
-        baseline = tmp_path / "base.json"
-        current = tmp_path / "now.json"
-        baseline.write_text(json.dumps({"version": 1, "timings": {
-            "cli/sweep/x": 1.0, "cli/rss_mb/x": 100.0}}))
-        current.write_text(json.dumps({"version": 1, "timings": {
-            "cli/sweep/x": 1.1, "cli/rss_mb/x": 180.0}}))
-        assert main(["stats", "--baseline", str(baseline),
-                     "--current", str(current)]) == 0
-        out = capsys.readouterr().out
-        assert "timings (seconds)" in out
-        assert "peak RSS (MB)" in out
-        assert "memory regression" in out
-        assert "timing regression" not in out
-
-    def test_bench_diff_missing_log_is_usage_error(self, tmp_path):
-        log = tmp_path / "log.json"
-        log.write_text(json.dumps({"version": 1, "timings": {"a": 1.0}}))
-        assert main(["stats", "--baseline", str(log),
-                     "--current", str(tmp_path / "missing.json")]) == 2
 
 
 class TestSweepRobustness:

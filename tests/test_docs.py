@@ -9,10 +9,13 @@ Extracts from ``README.md`` and ``docs/*.md``:
 - every ``--flag`` token and asserts the flag exists somewhere in the
   ``python -m repro`` argparse tree;
 - every ``REPRO_*`` environment variable name and asserts it is a string
-  literal somewhere under ``src/repro``.
+  literal somewhere under ``src/repro``;
+- every backticked ``*.py`` path (``sweep/runner.py``,
+  ``tests/test_docs.py::Name``) and asserts the file exists relative to
+  the repo root or to ``src/repro``.
 
-A renamed scenario, a dropped flag or environment variable, or a typo in an
-example therefore fails the suite instead of rotting silently.
+A renamed scenario or module, a dropped flag or environment variable, or a
+typo in an example therefore fails the suite instead of rotting silently.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ SCENARIO_SHAPED = re.compile(
     r"-[A-Za-z0-9_.{}|\[\],-]+)$")
 
 ENV_NAME = re.compile(r"\bREPRO_[A-Z0-9_]+")
+# A source path with at least one directory, optionally naming a test or class.
+SOURCE_PATH = re.compile(r"^([\w./-]*/[\w.-]*\.py)(::\w+)?$")
 INLINE_CODE = re.compile(r"`([^`]+)`")
 FENCE = re.compile(r"^\s*```")
 
@@ -131,6 +136,12 @@ def _env_tokens(path: Path) -> set[str]:
             for name in ENV_NAME.findall(token)}
 
 
+def _path_tokens(path: Path) -> set[str]:
+    """Backticked ``*.py`` paths, with any ``::Name`` suffix dropped."""
+    return {match.group(1) for kind, token in _code_tokens(path)
+            if kind == "inline" and (match := SOURCE_PATH.match(token))}
+
+
 def _argparse_flags() -> set[str]:
     parser = _build_parser()
     flags = {opt for action in parser._actions
@@ -185,6 +196,14 @@ def test_documented_env_vars_exist(path, source_literals):
         f"{path.name} references unknown environment variables: {unknown}")
 
 
+@pytest.mark.parametrize("path", DOC_FILES, ids=lambda p: p.name)
+def test_documented_paths_exist(path):
+    missing = sorted(name for name in _path_tokens(path)
+                     if not (REPO_ROOT / name).exists()
+                     and not (REPO_ROOT / "src" / "repro" / name).exists())
+    assert not missing, f"{path.name} references missing files: {missing}"
+
+
 def test_documented_passes_exist():
     # Every pass the docs mention is registered; and the registry's passes
     # are documented somewhere (the docs teach the full pipeline).
@@ -203,9 +222,11 @@ def test_extraction_is_not_vacuous():
     scenario_count = sum(len(_scenario_tokens(path)) for path in DOC_FILES)
     flag_count = len(set().union(*(_flag_tokens(p) for p in DOC_FILES)))
     env_count = len(set().union(*(_env_tokens(p) for p in DOC_FILES)))
+    path_count = len(set().union(*(_path_tokens(p) for p in DOC_FILES)))
     assert scenario_count >= 40, scenario_count
     assert flag_count >= 8, flag_count
     assert env_count >= 8, env_count
+    assert path_count >= 40, path_count
 
 
 def test_readme_mentions_the_aes_example():

@@ -1,7 +1,7 @@
 """Multi-level cache hierarchy (vm/cache.py): degenerate-shape bit-identity
 against the flat simulator, inclusion/exclusion invariants as hypothesis
-properties, dirty-line/writeback accounting, and the flush/back-invalidation
-bookkeeping the metrics layer surfaces."""
+properties, dirty-line/writeback accounting, and the per-level
+flush/back-invalidation bookkeeping."""
 
 import random
 
@@ -19,9 +19,7 @@ from repro.vm.cache import (
     HierarchySpec,
     LevelSpec,
     SetAssociativeCache,
-    cache_counters,
     default_hierarchy_spec,
-    reset_cache_counters,
 )
 
 LINE = 64
@@ -214,7 +212,7 @@ class TestFlushSemantics:
 
 class TestStatsAccounting:
     """Back-invalidations are maintenance traffic, not capacity pressure:
-    they get their own counter, per level and process-wide."""
+    they get their own per-level counter."""
 
     def test_back_invalidation_counted_separately(self):
         hierarchy = CacheHierarchy(_small_spec(INCLUSIVE))
@@ -225,22 +223,6 @@ class TestStatsAccounting:
         assert stats["l1[1]"].back_invalidations == 1
         assert stats["l1[1]"].evictions == 0
         assert not hierarchy.l1s[1].contains_block(0)
-
-    def test_process_counters_mirror_level_stats(self):
-        reset_cache_counters()
-        hierarchy = CacheHierarchy(_small_spec(INCLUSIVE))
-        for block, core, write in [(b % 24, b % 2, b % 5 == 0)
-                                   for b in range(300)]:
-            hierarchy.access(block * LINE, core=core, write=write)
-        hierarchy.flush()
-        totals = cache_counters()
-        levels = hierarchy.level_stats().values()
-        for key, field in [("evictions", "evictions"),
-                           ("back_invalidations", "back_invalidations"),
-                           ("writebacks", "writebacks"),
-                           ("flushes", "flushes")]:
-            assert totals[key] == sum(getattr(s, field) for s in levels)
-        assert totals["flushes"] == 3  # two L1s + LLC
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
