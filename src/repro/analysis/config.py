@@ -87,9 +87,10 @@ class AnalysisConfig:
     max_rss_bytes: int | None = None
     stack_top: int = 0x0BFF_F000
     # Compile tier (repro.analysis.specialize): execute straight-line code
-    # through per-block specialized functions.  Results are bit-identical
-    # with the interpreted path; the knob (and the REPRO_NO_SPECIALIZE env
-    # var, which overrides it) exists for ablation and as a rot guard.
+    # through per-block specialized functions, compiled once a block turns
+    # hot in a run.  Results are bit-identical with the interpreted path;
+    # the knob (and the REPRO_NO_SPECIALIZE env var, which overrides it)
+    # exists for ablation and as a rot guard.
     specialize: bool = True
     # Observability (repro.obs): emit phase spans into the process tracer.
     # Default off; the engine activates the tracer when set, and the

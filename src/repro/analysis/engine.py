@@ -38,6 +38,7 @@ from itertools import count as _count
 
 from repro.analysis.config import AnalysisConfig, AnalysisError, ResourceLimitError
 from repro.analysis.specialize import (
+    HOT_RUNS,
     compile_tier_evictions,
     specialization_enabled,
     specialized_program,
@@ -287,11 +288,6 @@ class Engine:
         self._label_intern: dict[ProjectedLabel, ProjectedLabel] = {}
         # The active configuration's cursor list, set per step by run().
         self._emit_cursors: list[Cursor] | None = None
-        # Specialized blocks already executed this run, by start pc: the
-        # first execution decodes the covered instructions (decode misses),
-        # later ones replay them from the compiled code (decode hits), so
-        # decode_hits + decode_misses == steps holds in every mode.
-        self._spec_seen: set[int] = set()
 
     # ------------------------------------------------------------------
     # Access routing
@@ -457,24 +453,20 @@ class Engine:
                 dag.enable_dedupe(backfill=True)
         self._has_run = True
 
-        # Compile tier: fetch (or build) the specialized blocks for this
-        # (image, entry) and bind them to this run's context.  Binding
-        # happens before the intern-counter snapshot below, so bind-time
-        # constant materialization does not perturb the per-run deltas.
+        # Compile tier: look up the specialized program for this (image,
+        # entry).  Its blocks compile and bind one at a time, as they turn
+        # hot in the exploration loop.
         evictions_base = compile_tier_evictions()
-        spec_blocks = None
+        program = None
         if (specialization_enabled(self.context.config)
                 and AccessKind.SHARED not in self.kinds):
             # A SHARED-kind DAG observes instruction and data accesses
             # interleaved in program order; the compile tier emits a block's
             # fetches batched ahead of its data accesses (identical per-kind
             # sequences, different interleaving), so SHARED runs interpret.
-            with obs_trace.span("engine.specialize") as bind_span:
+            with obs_trace.span("engine.specialize") as lookup_span:
                 program = specialized_program(self.image, entry)
-                if program.blocks:
-                    spec_blocks = program.bind(self.context)
-                    self.stats.spec_blocks = len(spec_blocks)
-                bind_span.arg("blocks", self.stats.spec_blocks)
+                lookup_span.arg("blocks", len(program.blocks))
 
         result = EngineResult(dags=self.dags, final_vertices={},
                               scheduler=self.stats)
@@ -508,11 +500,15 @@ class Engine:
         # reference counting frees the run's garbage as usual.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
+            # Promote what the run set up (DAGs, caches) out of the young
+            # generation first: the first collection after the loop would
+            # otherwise traverse every entry those containers gained in it.
+            gc.collect(0)
             gc.disable()
         try:
             with obs_trace.span("engine.explore") as explore_span:
                 self._explore(heap, pending, finished, fuel, result, emit,
-                              spec_blocks, sampler, guard)
+                              program, sampler, guard)
                 explore_span.arg("steps", result.steps)
                 explore_span.arg("merges", result.merges)
                 explore_span.arg("forks", result.forks)
@@ -537,11 +533,14 @@ class Engine:
         return result
 
     def _explore(self, heap, pending, finished, fuel, result, emit,
-                 spec_blocks=None, sampler=None, guard=None) -> None:
+                 program=None, sampler=None, guard=None) -> None:
         """The scheduler loop, split out so run() can bracket it (GC pause)."""
         seq = _count(1)
         stats = self.stats
-        spec_seen = self._spec_seen
+        # Compile tier, per run: executions so far of each eligible block
+        # start, and the blocks that turned hot, bound to this run.
+        heat = dict.fromkeys(program.blocks, 0) if program is not None else {}
+        hot: dict = {}
         # Data-address collector handed to specialized block functions; one
         # list reused across block executions (cleared after each batch).
         d_log: list = []
@@ -562,8 +561,13 @@ class Engine:
                 finished.append(config)
                 continue
 
-            if spec_blocks is not None:
-                block = spec_blocks.get(config.pc)
+            if program is not None:
+                block = hot.get(config.pc)
+                if block is None and config.pc in heat:
+                    heat[config.pc] += 1
+                    if heat[config.pc] == HOT_RUNS:
+                        block = hot[config.pc] = self._bind_block(
+                            program, config.pc)
                 # The fuel guard requires headroom for the whole prefix:
                 # without it the interpreted path below replays the block one
                 # instruction at a time and raises at the exact step the
@@ -586,11 +590,8 @@ class Engine:
                     result.steps += n_steps
                     stats.spec_block_runs += 1
                     stats.spec_steps += n_steps
-                    if config.pc in spec_seen:
-                        stats.decode_hits += n_steps
-                    else:
-                        spec_seen.add(config.pc)
-                        stats.decode_misses += n_steps
+                    # Earlier interpreted executions decoded every pc.
+                    stats.decode_hits += n_steps
                     candidate = _Config(
                         frames=config.frames, pc=block.end_pc,
                         state=config.state, cursors=config.cursors,
@@ -649,6 +650,14 @@ class Engine:
                         self.stats.peak_heap_size = len(heap)
                 else:
                     self._merge_into(existing, candidate, result)
+
+    def _bind_block(self, program, pc: int):
+        """Compile (or reuse) the block turning hot at ``pc``; bind it."""
+        with obs_trace.span("engine.compile_block", pc=pc) as compile_span:
+            block = program.bind(pc, self.context)
+            compile_span.arg("steps", block.n_steps)
+        self.stats.spec_blocks += 1
+        return block
 
     def _merge_into(self, existing: _Config, incoming: _Config,
                     result: EngineResult) -> None:

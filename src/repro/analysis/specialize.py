@@ -4,13 +4,16 @@ The interpreted hot path of :class:`~repro.analysis.engine.Engine` pays, per
 abstract instruction, for a worklist pop, a decode-cache probe, the mnemonic
 dispatch of :meth:`~repro.analysis.transfer.Transfer.step`, and a chain of
 operand ``isinstance`` tests — all of which are invariant for a given program
-address.  This module removes that cost for straight-line code: per basic
-block of the CFG it generates one specialized Python function in which decode
-results and operand shapes are resolved at codegen time, immediate/register/
-memory operand paths are split, constants are folded into pre-materialized
+address.  This module removes that cost for straight-line code that runs
+often: once a basic block turns hot in a run (its ``HOT_RUNS``-th execution),
+it gets one specialized Python function in which decode results and operand
+shapes are resolved at codegen time, immediate/register/memory operand paths
+are split, constants are folded into pre-materialized
 :class:`~repro.core.valueset.ValueSet` objects, and the transformer calls of
 ``Transfer`` are inlined as direct calls to the bound
-:class:`~repro.core.valueset.ValueSetOps` methods.
+:class:`~repro.core.valueset.ValueSetOps` methods.  Compiling on demand keeps
+``compile()`` off the many blocks that run only a few times per analysis,
+where it costs more than it saves.
 
 Fidelity rules (the established correctness bar is *bit identity* — every
 figure count, leakage bound, warning string, and engine counter must be
@@ -28,13 +31,14 @@ unchanged with specialization on, off, or mixed):
   to the interpreted ``Transfer.step`` — identical behavior by construction
   on the hard cases (forks, extern-clobber calls, fuel exhaustion).
 - Generated *code* is cached per ``(image fingerprint, entry)`` in a bounded
-  :class:`~repro.core.lru.LRUCache`; the per-run *bindings* (ops methods and
-  constant ValueSets) are re-materialized by :meth:`SpecializedProgram.bind`
-  for every engine run, because :class:`~repro.analysis.state.AnalysisContext`
-  clears the domain's intern tables — baking interned objects into the cache
-  would desynchronize the id-keyed lifting memos and change fresh-symbol
-  allocation.  ``ValueSet.constant`` allocates no symbols, so bind-time
-  materialization is allocation-order neutral.
+  :class:`~repro.core.lru.LRUCache`, filled block by block; a block is
+  *bound* (its ops methods and constant ValueSets materialized) by
+  :meth:`SpecializedProgram.bind` in every run that finds it hot, because
+  :class:`~repro.analysis.state.AnalysisContext` clears the domain's intern
+  tables — baking interned objects into the cache would desynchronize the
+  id-keyed lifting memos and change fresh-symbol allocation.
+  ``ValueSet.constant`` allocates no symbols, so bind-time materialization
+  is allocation-order neutral.
 
 Scheduling equivalence: interior addresses of a specialized prefix are never
 CFG leaders (every branch/call target and fall-through is a leader, and
@@ -60,7 +64,7 @@ from repro.isa.registers import ESP, Reg8
 
 __all__ = [
     "BoundBlock", "SpecializedProgram", "specialized_program",
-    "specialization_enabled", "compile_tier_evictions", "clear_cache",
+    "specialization_enabled", "compile_tier_evictions", "HOT_RUNS",
     "NO_SPECIALIZE_ENV",
 ]
 
@@ -73,6 +77,11 @@ NO_SPECIALIZE_ENV = "REPRO_NO_SPECIALIZE"
 # Blocks shorter than this interpret: a one-instruction prefix saves nothing
 # over the interpreter's single dispatch.
 MIN_PREFIX = 2
+
+# A block runs compiled from its HOT_RUNS-th execution in a run on; the
+# earlier ones interpret.  Must be at least 2: the engine counts a compiled
+# execution as decode hits because an interpreted one already decoded it.
+HOT_RUNS = 4
 
 # Generated code objects per (image fingerprint, entry).  Shares the
 # compile-tier cap (and the LRU discipline) with the compile_program memo.
@@ -96,11 +105,6 @@ def compile_tier_evictions() -> int:
     return _PROGRAM_CACHE.evictions + compile_cache_evictions()
 
 
-def clear_cache() -> None:
-    """Drop the specialized-program cache (tests)."""
-    _PROGRAM_CACHE.clear()
-
-
 class BoundBlock:
     """One specialized block bound to a run's context: ready to execute.
 
@@ -111,7 +115,7 @@ class BoundBlock:
     ``collect`` (a ``list.append``) in program order; the engine projects
     and emits that batch per observer after the call.  ``i_runs`` caches
     the per-observer run-length-compressed fetch labels, computed by the
-    engine on the block's first execution of the run.
+    engine on the block's first compiled execution of the run.
     """
 
     __slots__ = ("fn", "n_steps", "end_pc", "fetches", "i_runs")
@@ -125,81 +129,86 @@ class BoundBlock:
 
 
 class SpecializedProgram:
-    """Compiled block functions for one (image, entry), context-free.
+    """The compile tier's code for one (image, entry), built block by block.
 
-    ``blocks`` maps block start pc to ``(n_steps, end_pc, fetch_indices)``
-    for the covered prefix, where ``fetch_indices`` index the instruction
-    addresses in ``const_values``; ``factory`` is the compiled binder that,
-    given a run's bindings, returns the block functions as closures over
-    them.
+    ``blocks`` maps each eligible block start (a CFG block whose first
+    ``MIN_PREFIX`` instructions the generator supports) to its
+    :class:`~repro.analysis.cfg.BasicBlock`.  ``code`` holds, per block
+    compiled so far, its context-free binder, step count and end pc;
+    ``source`` is the generated source of those blocks, in compile order.
     """
 
-    __slots__ = ("source", "factory", "const_values", "blocks")
+    __slots__ = ("blocks", "code", "source")
 
-    def __init__(self, source: str, factory, const_values: tuple[int, ...],
-                 blocks: dict[int, tuple[int, int]]) -> None:
-        self.source = source
-        self.factory = factory
-        self.const_values = const_values
+    def __init__(self, blocks: dict[int, BasicBlock]) -> None:
         self.blocks = blocks
+        self.code: dict[int, tuple] = {}
+        self.source = ""
 
-    def bind(self, context) -> dict[int, BoundBlock]:
-        """Materialize per-run block functions for ``context``.
+    def bind(self, start: int, context) -> BoundBlock:
+        """The block at ``start``, compiled on first use, bound to ``context``.
 
-        Called at the top of every engine run: constants go through
-        ``ValueSet.constant`` so they are the *same interned objects* the
-        interpreter would produce in this run, keeping the id-keyed lifting
-        memos shared between specialized and interpreted steps.
+        The binder materializes the block's constants through
+        ``ValueSet.constant``, so they are the *same interned objects* the
+        interpreter produces in this run, keeping the id-keyed lifting memos
+        shared between specialized and interpreted steps.
         """
-        ops = context.ops
-        bindings = {
-            "and_": ops.and_, "or_": ops.or_, "xor": ops.xor,
-            "add": ops.add, "sub": ops.sub, "mul": ops.mul,
-            "neg": ops.neg, "not_": ops.not_, "shift": ops.shift,
-            "widen": context.widened, "context": context,
-            "PrecisionLoss": PrecisionLoss,
-            "TOP_FLAGS": TOP_FLAGS,
-            "from_flagbits": FlagState.from_flagbits,
-            "FlagSource": FlagSource,
-            "vs_constants": ValueSet.constants,
-            "preserve_cf": Transfer._preserve_cf,
-            "constants": [ValueSet.constant(value, WIDTH)
-                          for value in self.const_values],
-        }
-        constants = bindings["constants"]
-        functions = self.factory(bindings)
-        return {
-            start: BoundBlock(functions[start], n_steps, end_pc,
-                              [constants[index] for index in fetch_indices])
-            for start, (n_steps, end_pc, fetch_indices) in self.blocks.items()
-        }
+        code = self.code.get(start)
+        if code is None:
+            code = self.code[start] = self._compile(self.blocks[start])
+        binder, n_steps, end_pc = code
+        fn, fetches = binder(context)
+        return BoundBlock(fn, n_steps, end_pc, fetches)
 
-
-_EMPTY_PROGRAM = SpecializedProgram("", None, (), {})
+    def _compile(self, block: BasicBlock) -> tuple:
+        generator = _BlockGenerator()
+        n_steps = generator.prefix(block.instructions)
+        covered = block.instructions[:n_steps]
+        fetches = "".join(f"{generator.const(instruction.addr)}, "
+                          for instruction in covered)
+        name = f"_b_{block.start:x}"
+        lines = ["def _bind(_ctx):"]
+        lines.extend(f"    {line}" for line in _PRELUDE)
+        lines.extend(f"    K{index} = vs_constant({value}, {WIDTH})"
+                     for index, value in enumerate(generator.const_values))
+        lines.append(f"    def {name}(state, emit):")
+        lines.append("        _regs = state.regs")
+        lines.append("        _mem = state.memory")
+        lines.extend(f"        {line}" for line in generator.lines)
+        lines.append(f"    return {name}, ({fetches})")
+        source = "\n".join(lines) + "\n"
+        namespace = dict(_GLOBALS)
+        exec(compile(source, "<specialized-blocks>", "exec"), namespace)
+        self.source += source
+        last = covered[-1]
+        return namespace["_bind"], n_steps, last.addr + last.encoded_size
 
 
 def specialized_program(image: Image, entry: int) -> SpecializedProgram:
-    """The (cached) specialized program for ``image`` starting at ``entry``."""
+    """The (cached) specialized program for ``image`` starting at ``entry``.
+
+    A lookup builds the CFG and picks the eligible blocks; it compiles
+    nothing (:meth:`SpecializedProgram.bind` does, one block at a time).
+    """
     key = (image.fingerprint, entry)
     program = _PROGRAM_CACHE.get(key)
     if program is None:
-        program = _compile_blocks(image, entry)
+        program = SpecializedProgram(_eligible_blocks(image, entry))
         _PROGRAM_CACHE.put(key, program)
     return program
 
 
-def _compile_blocks(image: Image, entry: int) -> SpecializedProgram:
+def _eligible_blocks(image: Image, entry: int) -> dict[int, BasicBlock]:
     try:
         cfg = build_cfg(image, entry)
     except Exception:
         # Unreconstructable control flow (decode failure on a dead path,
         # budget exhaustion): the interpreter remains the single source of
         # truth and handles — or reports — whatever the CFG walk could not.
-        return _EMPTY_PROGRAM
-    generator = _ProgramGenerator()
-    for start in sorted(cfg.blocks):
-        generator.add_block(cfg.blocks[start])
-    return generator.finish()
+        return {}
+    return {start: block for start, block in cfg.blocks.items()
+            if _BlockGenerator().prefix(block.instructions[:MIN_PREFIX])
+            == MIN_PREFIX}
 
 
 # ----------------------------------------------------------------------
@@ -219,95 +228,33 @@ _SIMPLE = frozenset((
 _BINARY_FN = {"add": "_add", "sub": "_sub", "and": "_and",
               "or": "_or", "xor": "_xor"}
 
-# Bind-time names pulled out of the bindings dict once per run; the block
-# functions close over them (fast LOAD_DEREF instead of dict lookups).
+# The generated module's globals, and the bind-time names a block function
+# closes over (fast LOAD_DEREF instead of global or attribute lookups).
+_GLOBALS = {
+    "PrecisionLoss": PrecisionLoss, "TOP_FLAGS": TOP_FLAGS,
+    "from_flagbits": FlagState.from_flagbits, "FlagSource": FlagSource,
+    "vs_constants": ValueSet.constants, "vs_constant": ValueSet.constant,
+    "preserve_cf": Transfer._preserve_cf,
+}
 _PRELUDE = (
-    '_and = B["and_"]',
-    '_or = B["or_"]',
-    '_xor = B["xor"]',
-    '_add = B["add"]',
-    '_sub = B["sub"]',
-    '_mul = B["mul"]',
-    '_neg = B["neg"]',
-    '_not = B["not_"]',
-    '_shift = B["shift"]',
-    '_widen = B["widen"]',
-    '_ctx = B["context"]',
-    '_PL = B["PrecisionLoss"]',
-    '_TOP = B["TOP_FLAGS"]',
-    '_FF = B["from_flagbits"]',
-    '_FS = B["FlagSource"]',
-    '_VSC = B["vs_constants"]',
-    '_PCF = B["preserve_cf"]',
-    '_K = B["constants"]',
+    "_ops = _ctx.ops",
+    "_and = _ops.and_",
+    "_or = _ops.or_",
+    "_xor = _ops.xor",
+    "_add = _ops.add",
+    "_sub = _ops.sub",
+    "_mul = _ops.mul",
+    "_neg = _ops.neg",
+    "_not = _ops.not_",
+    "_shift = _ops.shift",
+    "_widen = _ctx.widened",
+    "_PL = PrecisionLoss",
+    "_TOP = TOP_FLAGS",
+    "_FF = from_flagbits",
+    "_FS = FlagSource",
+    "_VSC = vs_constants",
+    "_PCF = preserve_cf",
 )
-
-
-class _ProgramGenerator:
-    """Accumulates specialized block functions for one program."""
-
-    def __init__(self) -> None:
-        self.const_values: list[int] = []
-        self._const_indices: dict[int, int] = {}
-        self._block_sources: list[str] = []
-        self.blocks: dict[int, tuple[int, int, tuple[int, ...]]] = {}
-
-    def const_index(self, value: int) -> int:
-        """Index of ``value`` in the bind-time constant list."""
-        index = self._const_indices.get(value)
-        if index is None:
-            index = len(self.const_values)
-            self._const_indices[value] = index
-            self.const_values.append(value)
-        return index
-
-    def const(self, value: int) -> str:
-        """The bind-time name of the constant ValueSet for ``value``."""
-        return f"K{self.const_index(value)}"
-
-    def add_block(self, block: BasicBlock) -> None:
-        generator = _BlockGenerator(self)
-        n_steps = 0
-        end_pc = block.start
-        fetches: list[int] = []
-        for instruction in block.instructions:
-            try:
-                generator.instruction(instruction)
-            except _Unsupported:
-                break
-            fetches.append(self.const_index(instruction.addr))
-            n_steps += 1
-            end_pc = instruction.addr + instruction.encoded_size
-        if n_steps < MIN_PREFIX:
-            return
-        name = f"_b_{block.start:x}"
-        lines = [f"    def {name}(state, emit):",
-                 "        _regs = state.regs",
-                 "        _mem = state.memory"]
-        lines.extend(f"        {line}" for line in generator.lines)
-        self._block_sources.append("\n".join(lines))
-        self.blocks[block.start] = (n_steps, end_pc, tuple(fetches))
-
-    def finish(self) -> SpecializedProgram:
-        if not self.blocks:
-            return _EMPTY_PROGRAM
-        lines = ["def _bind(B):"]
-        lines.extend(f"    {line}" for line in _PRELUDE)
-        lines.extend(f"    K{index} = _K[{index}]"
-                     for index in range(len(self.const_values)))
-        lines.extend(self._block_sources)
-        mapping = ", ".join(f"{start}: _b_{start:x}"
-                            for start in sorted(self.blocks))
-        lines.append(f"    return {{{mapping}}}")
-        source = "\n".join(lines) + "\n"
-        namespace: dict = {}
-        exec(compile(source, "<specialized-blocks>", "exec"), namespace)
-        return SpecializedProgram(
-            source=source,
-            factory=namespace["_bind"],
-            const_values=tuple(self.const_values),
-            blocks=dict(self.blocks),
-        )
 
 
 class _BlockGenerator:
@@ -318,10 +265,11 @@ class _BlockGenerator:
     is not obvious.
     """
 
-    def __init__(self, program: _ProgramGenerator) -> None:
-        self.program = program
+    def __init__(self) -> None:
         self.lines: list[str] = []
         self._tmp = 0
+        self.const_values: list[int] = []
+        self._const_indices: dict[int, int] = {}
 
     # -- low-level emission --------------------------------------------
     def line(self, text: str) -> None:
@@ -332,7 +280,21 @@ class _BlockGenerator:
         return f"v{self._tmp}"
 
     def const(self, value: int) -> str:
-        return self.program.const(value)
+        """The bind-time name of the constant ValueSet for ``value``."""
+        index = self._const_indices.get(value)
+        if index is None:
+            index = self._const_indices[value] = len(self.const_values)
+            self.const_values.append(value)
+        return f"K{index}"
+
+    def prefix(self, instructions) -> int:
+        """Generate the longest supported prefix; returns its length."""
+        for n_steps, instruction in enumerate(instructions):
+            try:
+                self.instruction(instruction)
+            except _Unsupported:
+                return n_steps
+        return len(instructions)
 
     # -- Transfer._apply -----------------------------------------------
     def apply(self, call: str, op_name: str) -> str:

@@ -16,16 +16,23 @@ Three layers of evidence:
    ``decode_hits + decode_misses == steps`` hold in every mode, and both
    the config knob and the ``REPRO_NO_SPECIALIZE`` env var actually turn
    the tier off.
+4. **The hotness gate.**  A block compiles on its ``HOT_RUNS``-th execution
+   in a run: code that runs once compiles nothing, a loop body compiles
+   once and its code is reused by later analyses of the same image.
 """
 
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import engine as engine_module
 from repro.analysis.analyzer import build_initial_state
 from repro.analysis.config import AnalysisConfig, InputSpec
 from repro.analysis.engine import Engine
 from repro.analysis.specialize import (
+    HOT_RUNS,
     NO_SPECIALIZE_ENV,
     specialization_enabled,
     specialized_program,
@@ -34,7 +41,9 @@ from repro.analysis.state import AnalysisContext
 from repro.analysis.transfer import Transfer
 from repro.casestudy.scenarios import all_scenarios
 from repro.isa import parse_asm
+from repro.isa.instructions import CONDITIONS
 from repro.isa.registers import EAX, EBX, ESI, ESP
+from repro.obs import trace
 from repro.sweep.runner import execute_scenario
 
 # Metric keys that legitimately depend on the execution mode (how the work
@@ -83,32 +92,62 @@ _REGS = ("eax", "ebx", "ecx", "edx")
 _DISPS = (0, 4, 8, 12)
 
 _reg = st.sampled_from(_REGS)
+_reg8 = st.sampled_from(("al", "bl", "cl", "dl"))
 _imm = st.integers(min_value=0, max_value=0xFFFFFFFF)
 _small = st.integers(min_value=0, max_value=31)
 _disp = st.sampled_from(_DISPS)
+_scale = st.sampled_from((1, 2, 4, 8))
+_condition = st.sampled_from(CONDITIONS)
 
-_instruction = st.one_of(
-    st.tuples(st.just("mov {}, {}"), _reg, _reg),
-    st.tuples(st.just("mov {}, {}"), _reg, _imm),
-    st.tuples(st.sampled_from(
-        ["add {}, {}", "sub {}, {}", "and {}, {}",
-         "or {}, {}", "xor {}, {}", "imul {}, {}"]), _reg, _reg),
-    st.tuples(st.sampled_from(
-        ["add {}, {}", "and {}, {}", "xor {}, {}", "cmp {}, {}"]),
-        _reg, _imm),
-    st.tuples(st.sampled_from(
-        ["inc {}", "dec {}", "neg {}", "not {}", "push {}"]), _reg),
-    st.tuples(st.just("test {}, {}"), _reg, _reg),
-    st.tuples(st.sampled_from(
-        ["shl {}, {}", "shr {}, {}", "sar {}, {}"]), _reg, _small),
-    st.tuples(st.just("mov {}, [esi + {}]"), _reg, _disp),
-    st.tuples(st.just("mov [esi + {}], {}"), _disp, _reg),
+# One entry per instruction shape, so every shape is drawn about equally
+# often: (template, operand strategies...).  A pair template renders two
+# instructions.
+_TEMPLATES = (
+    ("mov {}, {}", _reg, _reg),
+    ("mov {}, {}", _reg, _imm),
+    *((f"{op} {{}}, {{}}", _reg, _reg)
+      for op in ("add", "sub", "and", "or", "xor", "imul")),
+    *((f"{op} {{}}, {{}}", _reg, _imm) for op in ("add", "and", "xor", "cmp")),
+    *((f"{op} {{}}", _reg) for op in ("inc", "dec", "neg", "not", "push")),
+    ("test {}, {}", _reg, _reg),
+    ("test {0}, {0}", _reg),
+    *((f"{op} {{}}, {{}}", _reg, _small) for op in ("shl", "shr", "sar")),
+    ("mov {}, [esi + {}]", _reg, _disp),
+    ("mov [esi + {}], {}", _disp, _reg),
+    ("movzx {}, byte [esi + {}]", _reg, _disp),
+    ("movzx {}, {}", _reg, _reg8),
+    ("movb [esi + {}], {}", _disp, _reg8),
+    ("lea {}, [{} + {}*{} + {}]", _reg, _reg, _reg, _scale, _disp),
+    ("push {}\npop {}", _reg, _reg),
+    ("cmp {}, {}\nset{} {}", _reg, _reg, _condition, _reg8),
+    ("imul {}, {}, {}", _reg, _reg, _imm),
+    ("nop",),
+    ("cmp [esi + {}], {}", _disp, _reg),
+    # Read-modify-write memory destinations: the address is computed twice.
+    *((f"{op} [esi + {{}}], {{}}", _disp, operand)
+      for op in ("add", "sub", "xor") for operand in (_reg, _imm)),
+    *((f"{op} [esi + {{}}]", _disp) for op in ("inc", "neg", "not")),
 )
 
+_instruction = st.one_of(*(st.tuples(st.just(template), *operands)
+                           for template, *operands in _TEMPLATES))
 
-def _render(parts) -> str:
+# Every shape once, with fixed operands (registers in rotation): an
+# explicit example, so each run reaches every codegen branch whatever
+# Hypothesis draws.
+_registers = itertools.cycle(_REGS)
+_FIXED = {_reg8: "al", _imm: 0x8000_0001, _small: 3, _disp: 4, _scale: 4,
+          _condition: "b"}
+_EVERY_SHAPE = [
+    (template, *(next(_registers) if operand is _reg else _FIXED[operand]
+                 for operand in operands))
+    for template, *operands in _TEMPLATES]
+
+
+def _render(parts) -> list[str]:
+    """One template's instructions (a pair template renders two)."""
     template, *operands = parts
-    return template.format(*operands)
+    return template.format(*operands).split("\n")
 
 
 def _assemble(lines):
@@ -135,16 +174,17 @@ def _fresh_run_state(image):
     return context, state
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(parts=st.lists(_instruction, min_size=2, max_size=8))
+@example(parts=_EVERY_SHAPE)
 def test_specialized_block_matches_stepwise_transfer(parts):
-    lines = [_render(instruction_parts) for instruction_parts in parts]
+    lines = [line for instruction_parts in parts
+             for line in _render(instruction_parts)]
     image = _assemble(lines)
     entry = image.symbol("main")
     program = specialized_program(image, entry)
     assert entry in program.blocks, lines  # every template is supported
-    n_steps = program.blocks[entry][0]
-    assert n_steps == len(lines)
+    n_steps = len(lines)
 
     # Interpreted reference: Transfer.step over each instruction.
     context_interp, state_interp = _fresh_run_state(image)
@@ -162,11 +202,11 @@ def test_specialized_block_matches_stepwise_transfer(parts):
         assert len(successors) == 1  # straight-line by construction
         pc = successors[0].pc
 
-    # Specialized path: one compiled call on a fresh identical context.
+    # Specialized path: compile the block directly (no execution count)
+    # and make one call on a fresh identical context.
     context_spec, state_spec = _fresh_run_state(image)
-    bound = program.bind(context_spec)
-    block = bound[entry]
-    assert block.n_steps == n_steps and block.end_pc == pc
+    block = program.bind(entry, context_spec)
+    assert block.n_steps == n_steps and block.end_pc == pc, lines
     data_accesses_spec = []
     block.fn(state_spec, data_accesses_spec.append)
 
@@ -193,9 +233,28 @@ main:
     ret
 """
 
+# A counted loop: the body block runs _LOOP_ITERATIONS times, interprets
+# until it turns hot, then runs compiled for the remaining executions.
+_LOOP_ITERATIONS = HOT_RUNS + 4
+_LOOP_BODY_STEPS = 6  # the body's supported prefix: everything but the jl
+_LOOP_PROGRAM = f"""
+.text
+main:
+    mov ecx, 0
+.loop:
+    mov ebx, [esi]
+    add ebx, ecx
+    xor ebx, 81
+    mov [esi], ebx
+    inc ecx
+    cmp ecx, {_LOOP_ITERATIONS}
+    jl .loop
+    ret
+"""
 
-def _run_engine(specialize: bool):
-    image = parse_asm(_COUNTER_PROGRAM).assemble()
+
+def _run_engine(specialize: bool, source: str = _COUNTER_PROGRAM):
+    image = parse_asm(source).assemble()
     spec = InputSpec(entry="main",
                      registers=(InputSpec.reg_constant(ESI, 0x080E_B000),))
     context = AnalysisContext(AnalysisConfig(specialize=specialize))
@@ -214,7 +273,7 @@ class TestCounterInvariants:
         monkeypatch.delenv(NO_SPECIALIZE_ENV, raising=False)
 
     def test_spec_plus_interp_steps_is_steps(self):
-        result, stats = _run_engine(specialize=True)
+        result, stats = _run_engine(specialize=True, source=_LOOP_PROGRAM)
         assert stats.spec_steps > 0
         assert stats.spec_steps + stats.interp_steps == result.steps
         assert stats.decode_hits + stats.decode_misses == result.steps
@@ -239,11 +298,112 @@ class TestCounterInvariants:
         assert not specialization_enabled(AnalysisConfig())
 
     def test_spec_step_rate_bounded(self):
-        _, stats = _run_engine(specialize=True)
+        _, stats = _run_engine(specialize=True, source=_LOOP_PROGRAM)
         assert 0.0 < stats.spec_step_rate <= 1.0
+
+    def test_hot_block_runs_compiled_from_its_hot_run_on(self):
+        _, stats = _run_engine(specialize=True, source=_LOOP_PROGRAM)
+        assert stats.spec_blocks == 1
+        assert stats.spec_block_runs == _LOOP_ITERATIONS - HOT_RUNS + 1
+        assert stats.spec_steps == stats.spec_block_runs * _LOOP_BODY_STEPS
+
+    def test_decode_misses_match_the_interpreter(self):
+        _, compiled = _run_engine(specialize=True, source=_LOOP_PROGRAM)
+        _, interpreted = _run_engine(specialize=False, source=_LOOP_PROGRAM)
+        assert compiled.decode_misses == interpreted.decode_misses
 
     def test_program_cache_reuses_compiled_code(self):
         image = parse_asm(_COUNTER_PROGRAM).assemble()
         entry = image.symbol("main")
         first = specialized_program(image, entry)
         assert specialized_program(image, entry) is first
+
+
+@pytest.fixture(scope="module")
+def single_run_scenario():
+    """One traced analysis of a catalogue scenario whose blocks each run
+    once: its result, the specialized programs it looked up, its trace."""
+    lookup = engine_module.specialized_program
+    programs = []
+
+    def recording(image, entry):
+        programs.append(lookup(image, entry))
+        return programs[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv(NO_SPECIALIZE_ENV, raising=False)
+        patch.delenv(trace.TRACE_ENV, raising=False)
+        patch.setattr(engine_module, "specialized_program", recording)
+        trace.stop()
+        trace.start()
+        try:
+            result = execute_scenario(
+                all_scenarios()["aes-O2-64B-preload-aligned"])
+        finally:
+            events = trace.stop()
+    return result, programs, events
+
+
+def _compile_spans(events) -> list[dict]:
+    return [event for event in events
+            if event["name"] == "engine.compile_block"]
+
+
+class TestHotnessGate:
+    """A block compiles on its HOT_RUNS-th execution in a run, not before."""
+
+    @pytest.fixture(autouse=True)
+    def _tier_enabled(self, monkeypatch):
+        monkeypatch.delenv(NO_SPECIALIZE_ENV, raising=False)
+        monkeypatch.delenv(trace.TRACE_ENV, raising=False)
+        trace.stop()
+        yield
+        trace.stop()
+
+    def test_straight_line_program_compiles_nothing(self):
+        result, stats = _run_engine(specialize=True)
+        assert stats.spec_blocks == 0
+        assert stats.interp_steps == result.steps
+        image = parse_asm(_COUNTER_PROGRAM).assemble()
+        assert specialized_program(image, image.symbol("main")).source == ""
+
+    def test_single_run_scenario_compiles_nothing(self, single_run_scenario):
+        result, programs, _ = single_run_scenario
+        assert result.ok
+        assert result.metrics["spec_blocks"] == 0
+        assert programs and all(program.source == "" for program in programs)
+
+    def test_kill_switches_keep_a_hot_loop_interpreted(self, monkeypatch):
+        result, stats = _run_engine(specialize=False, source=_LOOP_PROGRAM)
+        assert stats.spec_blocks == 0 and stats.interp_steps == result.steps
+        monkeypatch.setenv(NO_SPECIALIZE_ENV, "1")
+        result, stats = _run_engine(specialize=True, source=_LOOP_PROGRAM)
+        assert stats.spec_blocks == 0 and stats.interp_steps == result.steps
+
+    def test_second_analysis_compiles_nothing_new(self):
+        image = parse_asm(_LOOP_PROGRAM).assemble()
+        # Looked up before either run, so neither run inserts into the
+        # program cache: cache_evictions depends on what the process
+        # cached before, every other counter only on the run.
+        program = specialized_program(image, image.symbol("main"))
+        _, first = _run_engine(specialize=True, source=_LOOP_PROGRAM)
+        source = program.source
+        assert source
+        _, second = _run_engine(specialize=True, source=_LOOP_PROGRAM)
+        assert program.source == source
+        assert second == first
+
+    def test_each_compile_records_one_span(self):
+        trace.start()
+        _, stats = _run_engine(specialize=True, source=_LOOP_PROGRAM)
+        spans = _compile_spans(trace.drain())
+        assert len(spans) == stats.spec_blocks == 1
+        image = parse_asm(_LOOP_PROGRAM).assemble()
+        assert spans[0]["args"] == {"pc": image.symbol("main.loop"),
+                                    "steps": _LOOP_BODY_STEPS}
+
+    def test_single_run_scenario_records_no_compile_span(
+            self, single_run_scenario):
+        _, _, events = single_run_scenario
+        assert events  # the run was traced
+        assert _compile_spans(events) == []
