@@ -329,6 +329,28 @@ def _specialization_profile(results: list[SweepResult]) -> str | None:
     return "per-scenario specialization (compile tier):\n" + "\n".join(lines)
 
 
+def _package_self_time(stats) -> str:
+    """Self time (cProfile ``tottime``) summed per ``repro.<package>``.
+
+    Functions outside the ``repro`` tree (builtins, the standard library,
+    the compile tier's generated block code) are summed under ``other``.
+    """
+    package_root = os.path.dirname(os.path.abspath(__file__)) + os.sep
+    totals: dict[str, float] = {}
+    for (filename, _line, _name), (_, _, self_time, _, _) in stats.stats.items():
+        if filename.startswith(package_root):
+            head, nested, _ = filename[len(package_root):].partition(os.sep)
+            package = f"repro.{head}" if nested else "repro"
+        else:
+            package = "other"
+        totals[package] = totals.get(package, 0.0) + self_time
+    overall = sum(totals.values()) or 1.0
+    lines = [f"  {package:<18}{seconds:>9.3f}s {seconds / overall:>7.1%}"
+             for package, seconds in sorted(
+                 totals.items(), key=lambda item: -item[1])]
+    return "self time by package (cProfile tottime):\n" + "\n".join(lines)
+
+
 def _command_sweep(args) -> int:
     if args.resume and not args.store:
         print("--resume needs --store (the store holds the finished "
@@ -462,6 +484,8 @@ def _command_sweep(args) -> int:
         print(f"profile written to {args.profile}{suffix}; "
               f"hottest functions:")
         stats.print_stats(12)
+        print(_package_self_time(stats))
+        print()
         specialization = _specialization_profile(results)
         if specialization:
             print(specialization)

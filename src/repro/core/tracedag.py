@@ -11,9 +11,19 @@ A *cursor* is a set of virtual entries ``(parents, stutter_parents, label,
 run)`` describing the in-progress tail of each trace bundle: the last
 ``run`` accesses all projected to ``label``.  When the next access projects
 to a different label, the entry is *committed* as a real vertex and a new
-virtual entry is opened.
+virtual entry is opened.  Cursor parents are frozensets of vertex ids.
 
-Two refinements over the paper's §6.4 presentation (both verified against
+Each DAG is stored as parallel lists indexed by vertex id: label, parents,
+run, count and the low/high path-length span for the exact DAG; label,
+parents and count for the stuttering quotient.  Slot 0 holds the root as an
+ordinary entry (count 1, span 0), so the folds read it like any other
+parent.  A vertex with one parent stores that parent's id as an ``int``;
+only a multi-parent vertex keeps the frozenset it was keyed by.  A commit
+therefore appends to lists and allocates no per-vertex object the cyclic
+garbage collector has to track; the :class:`Vertex` and
+:class:`StutterVertex` records are built on demand for introspection.
+
+Three refinements over the paper's §6.4 presentation (all verified against
 the paper's reported numbers and by exhaustive concrete validation):
 
 - **Rep-splitting.**  Committed vertices are keyed by ``(parents, label,
@@ -45,54 +55,43 @@ __all__ = ["TraceDAG", "Cursor", "EndSet", "EMPTY_ENDS", "Vertex", "StutterVerte
 
 ROOT_VERTEX = 0
 
-# Vertex records on the commit hot path are built by direct slot assignment
-# (skipping the __init__ call frame); the named constructors stay for tests
-# and debugging call sites.
-_new = object.__new__
-
 # A cursor entry: (exact parent ids, stutter parent ids, label, run).
 Entry = tuple[frozenset, frozenset, ProjectedLabel | None, int]
 Cursor = frozenset  # frozenset[Entry]
 
 
+@dataclass(frozen=True, slots=True)
 class Vertex:
     """One committed access bundle in the exact DAG.
 
-    ``count_value`` and ``min_span``/``max_span`` are filled in eagerly at
-    commit time: the DAG grows topologically (every parent is committed
-    before its children), so Proposition 2 and the path-length span are one
+    ``count_value`` and ``min_span``/``max_span`` were folded at commit
+    time: the DAG grows topologically (every parent is committed before its
+    children), so Proposition 2 and the path-length span are one
     constant-time fold per vertex instead of a whole-DAG walk per query.
     """
 
-    __slots__ = ("ident", "label", "parents", "run",
-                 "count_value", "min_span", "max_span")
-
-    def __init__(self, ident: int, label: ProjectedLabel,
-                 parents: frozenset, run: int) -> None:
-        self.ident = ident
-        self.label = label
-        self.parents = parents
-        self.run = run
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Vertex(ident={self.ident}, label={self.label!r}, "
-                f"parents={set(self.parents)}, run={self.run})")
+    ident: int
+    label: ProjectedLabel
+    parents: frozenset
+    run: int
+    count_value: int
+    min_span: int
+    max_span: int
 
 
+@dataclass(frozen=True, slots=True)
 class StutterVertex:
     """One committed access bundle in the stuttering-quotient DAG."""
 
-    __slots__ = ("ident", "label", "parents", "count_value")
+    ident: int
+    label: ProjectedLabel
+    parents: frozenset
+    count_value: int
 
-    def __init__(self, ident: int, label: ProjectedLabel,
-                 parents: frozenset) -> None:
-        self.ident = ident
-        self.label = label
-        self.parents = parents
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"StutterVertex(ident={self.ident}, label={self.label!r}, "
-                f"parents={set(self.parents)})")
+def _parent_set(parents: int | frozenset) -> frozenset:
+    """The frozenset of parent ids for a stored parents entry."""
+    return parents if type(parents) is frozenset else frozenset((parents,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,11 +112,18 @@ class TraceDAG:
     """A single-observer trace DAG with cursor-based updates."""
 
     def __init__(self, dedupe: bool = True) -> None:
-        # Vertex ids are allocated densely from 1, so storage is a list
-        # indexed by ident (slot 0, the root, holds None) — parent lookups
-        # in the eager count/span folds are list indexing, not dict probes.
-        self._vertices: list[Vertex | None] = [None]
-        self._stutter_vertices: list[StutterVertex | None] = [None]
+        # Parallel lists indexed by vertex id, slot 0 the root (see the
+        # module docstring); parents are an int id or a multi-parent
+        # frozenset.
+        self._labels: list[ProjectedLabel | None] = [None]
+        self._parents: list[int | frozenset] = [frozenset()]
+        self._runs: list[int] = [0]
+        self._counts: list[int] = [1]
+        self._lows: list[int] = [0]
+        self._highs: list[int] = [0]
+        self._stutter_labels: list[ProjectedLabel | None] = [None]
+        self._stutter_parents: list[int | frozenset] = [frozenset()]
+        self._stutter_counts: list[int] = [1]
         # Registries map commit keys to the *frozenset* {ident} handed to
         # cursors, so repeat commits reuse one allocation.  While the cursor
         # bundle is a single never-duplicated chain (an engine run before its
@@ -145,12 +151,12 @@ class TraceDAG:
         """
         if backfill:
             registry = self._registry
-            for vertex in self._vertices[1:]:
+            for vertex in self.vertices():
                 registry.setdefault(
                     (vertex.parents, vertex.label, vertex.run),
                     frozenset((vertex.ident,)))
             stutter_registry = self._stutter_registry
-            for vertex in self._stutter_vertices[1:]:
+            for vertex in self.stutter_vertices():
                 stutter_registry.setdefault(
                     (vertex.parents, vertex.label),
                     frozenset((vertex.ident,)))
@@ -160,24 +166,32 @@ class TraceDAG:
     # Introspection
     # ------------------------------------------------------------------
     def vertex(self, ident: int) -> Vertex:
-        """The exact-DAG vertex record (root has no record)."""
-        record = self._vertices[ident]
-        if record is None:
+        """The exact-DAG vertex record (``KeyError`` for the root or an
+        id that names no committed vertex)."""
+        if not 0 < ident < len(self._labels):
             raise KeyError(ident)
-        return record
+        return Vertex(ident, self._labels[ident],
+                      _parent_set(self._parents[ident]), self._runs[ident],
+                      self._counts[ident], self._lows[ident],
+                      self._highs[ident])
 
     def vertices(self) -> list[Vertex]:
         """All committed exact vertices."""
-        return self._vertices[1:]
+        return [self.vertex(ident) for ident in range(1, len(self._labels))]
 
     def stutter_vertices(self) -> list[StutterVertex]:
         """All committed stuttering-quotient vertices."""
-        return self._stutter_vertices[1:]
+        return [
+            StutterVertex(ident, self._stutter_labels[ident],
+                          _parent_set(self._stutter_parents[ident]),
+                          self._stutter_counts[ident])
+            for ident in range(1, len(self._stutter_labels))
+        ]
 
     @property
     def size(self) -> int:
         """Number of committed exact vertices plus the root."""
-        return len(self._vertices)
+        return len(self._labels)
 
     @property
     def accesses_recorded(self) -> int:
@@ -312,26 +326,30 @@ class TraceDAG:
         Before the first fork the cursor is one never-duplicated chain: every
         commit's parent is the vertex committed just before it, so the
         count/span folds of :meth:`_commit` only ever consult the previous
-        vertex.  This loop keeps those folds in running locals — no registry
-        probes (dedupe is off), no list indexing back into the vertex store,
-        no singleton-frozenset unpacking per commit.  It is bit-identical to
-        the general path; the compile tier pushes every specialized block's
-        fetch sequence through here on fork-free prefixes (all of fig14b-d).
+        vertex.  This loop keeps those folds and the parent ids in running
+        locals and appends each commit to the columns: no registry probes
+        (dedupe is off), no indexing back into the columns, and no frozenset
+        until the returned cursor.  It is bit-identical to the general path;
+        the compile tier pushes every specialized block's fetch sequence
+        through here on fork-free prefixes (all of fig14b-d).
         """
-        vertices = self._vertices
-        stutter_vertices = self._stutter_vertices
         (parent,) = parents
-        if parent:
-            record = vertices[parent]
-            prev_total = record.count_value
-            prev_low = record.min_span
-            prev_high = record.max_span
-        else:
-            prev_total = 1
-            prev_low = prev_high = 0
         (stutter_parent,) = stutter_parents
-        prev_stotal = (stutter_vertices[stutter_parent].count_value
-                       if stutter_parent else 1)
+        prev_total = self._counts[parent]
+        prev_low = self._lows[parent]
+        prev_high = self._highs[parent]
+        prev_stotal = self._stutter_counts[stutter_parent]
+        first = ident = len(self._labels) - 1
+        stutter_ident = len(self._stutter_labels) - 1
+        add_label = self._labels.append
+        add_parent = self._parents.append
+        add_run = self._runs.append
+        add_count = self._counts.append
+        add_low = self._lows.append
+        add_high = self._highs.append
+        add_stutter_label = self._stutter_labels.append
+        add_stutter_parent = self._stutter_parents.append
+        add_stutter_count = self._stutter_counts.append
         total = 0
         for label, count in runs:
             total += count
@@ -340,35 +358,33 @@ class TraceDAG:
                 run += count
                 continue
             commits = 1 if single else count
-            for _ in range(commits):
+            while commits:
+                commits -= 1
                 if entry_label is not None:
-                    ident = len(vertices)
-                    vertex = _new(Vertex)
-                    vertex.ident = ident
-                    vertex.label = entry_label
-                    vertex.parents = parents
-                    vertex.run = run
                     prev_total = entry_label.count * prev_total
                     prev_low = run + prev_low
                     prev_high = run + prev_high
-                    vertex.count_value = prev_total
-                    vertex.min_span = prev_low
-                    vertex.max_span = prev_high
-                    vertices.append(vertex)
-                    parents = frozenset((ident,))
-                    stutter_ident = len(stutter_vertices)
-                    stutter_vertex = _new(StutterVertex)
-                    stutter_vertex.ident = stutter_ident
-                    stutter_vertex.label = entry_label
-                    stutter_vertex.parents = stutter_parents
                     prev_stotal = entry_label.count * prev_stotal
-                    stutter_vertex.count_value = prev_stotal
-                    stutter_vertices.append(stutter_vertex)
-                    stutter_parents = frozenset((stutter_ident,))
+                    add_label(entry_label)
+                    add_parent(parent)
+                    add_run(run)
+                    add_count(prev_total)
+                    add_low(prev_low)
+                    add_high(prev_high)
+                    add_stutter_label(entry_label)
+                    add_stutter_parent(stutter_parent)
+                    add_stutter_count(prev_stotal)
+                    ident += 1
+                    parent = ident
+                    stutter_ident += 1
+                    stutter_parent = stutter_ident
                 entry_label = label
                 run = count if single else 1
         self._access_count += total
-        return frozenset(((parents, stutter_parents, entry_label, run),))
+        if ident == first:  # nothing committed: the parent sets stand
+            return frozenset(((parents, stutter_parents, entry_label, run),))
+        return frozenset(((frozenset((parent,)), frozenset((stutter_parent,)),
+                           entry_label, run),))
 
     def merge(self, first: Cursor, second: Cursor) -> Cursor:
         """Join two cursors at a control-flow merge (joins stay lazy).
@@ -395,67 +411,48 @@ class TraceDAG:
                 label: ProjectedLabel | None, run: int):
         """Turn a virtual entry into real vertices in both DAGs.
 
-        Returns *frozensets* of vertex ids (cached in the registries, so the
-        chain-building common case allocates them once per vertex).  The
-        registry probe uses ``setdefault``, hashing each key exactly once on
-        the dominant new-vertex path; the count/span folds happen here while
-        the parents are at hand, with the singleton-parent chain (every
-        commit of a fork-free run) folding without the multi-parent
-        min/max loop, and vertex records built by direct slot assignment —
-        this is the hottest function of the whole DAG layer.
+        Returns *frozensets* of vertex ids (cached in the registries, so
+        repeat commits share them).  The registry probe uses ``setdefault``,
+        hashing each key exactly once on the dominant new-vertex path; the
+        count/span folds happen here while the parents are at hand, and a
+        single parent (every commit of a fork-free run) is stored and
+        folded as a plain id — this is the hottest function of the whole
+        DAG layer once an exploration forks.
         """
         if label is None:  # root-virtual entry: nothing to commit
             return parents, stutter_parents
         dedupe = self._dedupe
-        vertices = self._vertices
-        ident = len(vertices)
+        labels = self._labels
+        ident = len(labels)
         exact_ids = frozenset((ident,))
         if dedupe:
             existing = self._registry.setdefault((parents, label, run), exact_ids)
         else:
             existing = exact_ids
         if existing is exact_ids:
-            vertex = _new(Vertex)
-            vertex.ident = ident
-            vertex.label = label
-            vertex.parents = parents
-            vertex.run = run
+            counts = self._counts
+            lows = self._lows
+            highs = self._highs
             if len(parents) == 1:
                 (parent,) = parents
-                if parent:
-                    record = vertices[parent]
-                    total = record.count_value
-                    low = record.min_span
-                    high = record.max_span
-                else:  # the root: one empty trace of length 0
-                    total = 1
-                    low = high = 0
+                total = counts[parent]
+                low = lows[parent]
+                high = highs[parent]
             else:
-                total = 0
-                low = high = None
-                for parent in parents:
-                    if parent:
-                        record = vertices[parent]
-                        total += record.count_value
-                        parent_low, parent_high = record.min_span, record.max_span
-                    else:
-                        total += 1
-                        parent_low = parent_high = 0
-                    if low is None:
-                        low, high = parent_low, parent_high
-                    else:
-                        if parent_low < low:
-                            low = parent_low
-                        if parent_high > high:
-                            high = parent_high
-            vertex.count_value = label.count * total
-            vertex.min_span = run + low
-            vertex.max_span = run + high
-            vertices.append(vertex)
+                parent = parents
+                total = sum([counts[p] for p in parents])
+                low = min([lows[p] for p in parents])
+                high = max([highs[p] for p in parents])
+            labels.append(label)
+            self._parents.append(parent)
+            self._runs.append(run)
+            counts.append(label.count * total)
+            lows.append(run + low)
+            highs.append(run + high)
         else:
             exact_ids = existing
-        stutter_vertices = self._stutter_vertices
-        stutter_ident = len(stutter_vertices)
+        stutter_labels = self._stutter_labels
+        stutter_ident = len(stutter_labels)
         stutter_ids = frozenset((stutter_ident,))
         if dedupe:
             existing = self._stutter_registry.setdefault(
@@ -463,19 +460,16 @@ class TraceDAG:
         else:
             existing = stutter_ids
         if existing is stutter_ids:
-            stutter_vertex = _new(StutterVertex)
-            stutter_vertex.ident = stutter_ident
-            stutter_vertex.label = label
-            stutter_vertex.parents = stutter_parents
+            stutter_counts = self._stutter_counts
             if len(stutter_parents) == 1:
                 (parent,) = stutter_parents
-                total = stutter_vertices[parent].count_value if parent else 1
+                total = stutter_counts[parent]
             else:
-                total = 0
-                for parent in stutter_parents:
-                    total += stutter_vertices[parent].count_value if parent else 1
-            stutter_vertex.count_value = label.count * total
-            stutter_vertices.append(stutter_vertex)
+                parent = stutter_parents
+                total = sum([stutter_counts[p] for p in stutter_parents])
+            stutter_labels.append(label)
+            self._stutter_parents.append(parent)
+            stutter_counts.append(label.count * total)
         else:
             stutter_ids = existing
         return exact_ids, stutter_ids
@@ -491,15 +485,9 @@ class TraceDAG:
         Counts were folded at commit time (Proposition 2 over the
         topological build order), so this is a sum over the final vertices.
         """
-        if stuttering:
-            vertices = self._stutter_vertices
-            final = ends.stutter
-        else:
-            vertices = self._vertices
-            final = ends.exact
-        return sum(
-            vertices[ident].count_value if ident else 1 for ident in final
-        ) or 1
+        counts = self._stutter_counts if stuttering else self._counts
+        final = ends.stutter if stuttering else ends.exact
+        return sum([counts[ident] for ident in final]) or 1
 
     def path_length_span(self, ends: EndSet) -> tuple[int, int]:
         """Shortest and longest access count over all traces in the exact DAG.
@@ -511,12 +499,10 @@ class TraceDAG:
         final = ends.exact
         if not final:
             return (0, 0)
-        spans = [
-            (self._vertices[ident].min_span, self._vertices[ident].max_span)
-            if ident else (0, 0)
-            for ident in final
-        ]
-        return (min(low for low, _ in spans), max(high for _, high in spans))
+        lows = self._lows
+        highs = self._highs
+        return (min([lows[ident] for ident in final]),
+                max([highs[ident] for ident in final]))
 
     # ------------------------------------------------------------------
     # Rendering (used for Figure 4)
@@ -525,8 +511,8 @@ class TraceDAG:
         """Render the DAG in Graphviz dot format."""
         describe = describe or (lambda label: ",".join(sorted(map(str, label.keys))))
         lines = ["digraph trace {", '  v0 [label="r"];']
-        vertices = self._stutter_vertices if stuttering else self._vertices
-        for vertex in vertices[1:]:
+        vertices = self.stutter_vertices() if stuttering else self.vertices()
+        for vertex in vertices:
             run_text = "" if stuttering else f" x{vertex.run}"
             lines.append(
                 f'  v{vertex.ident} [label="{describe(vertex.label)}{run_text}"];')

@@ -1,5 +1,11 @@
 """Tests for the memory trace domain T♯ (paper §6, Example 9 / Figure 4)."""
 
+import gc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.observers import ProjectedLabel
 from repro.core.tracedag import TraceDAG
 
@@ -172,6 +178,16 @@ class TestForkJoin:
         assert dag.count(ends) == 2
         assert dag.count(ends, stuttering=True) == 1
 
+    def test_span_covers_unequal_arms(self):
+        dag = TraceDAG()
+        cursor = dag.access(dag.root_cursor(), A)
+        short_arm = dag.access(cursor, B)  # A B D: 3 accesses
+        long_arm = dag.access(dag.access(dag.access(cursor, C), C), B)  # A C C B D
+        merged = dag.access(dag.merge(short_arm, long_arm), D)
+        ends = dag.finalize(merged)
+        assert dag.path_length_span(ends) == (3, 5)
+        assert dag.count(ends) == 2
+
 
 class TestStructuralSharing:
     def test_identical_commits_share_vertices(self):
@@ -221,3 +237,88 @@ class TestCountingScale:
             cursor = dag.access(cursor, label(*[f"{i}:{k}" for k in range(8)]))
         ends = dag.finalize(cursor)
         assert dag.count(ends) == 8 ** 384
+
+
+class TestVertexLookup:
+    def test_unknown_ids_raise_key_error(self):
+        dag = TraceDAG()
+        cursor = dag.access(dag.access(dag.root_cursor(), A), B)
+        dag.finalize(cursor)
+        assert dag.vertex(1).label == A
+        assert dag.vertex(2).label == B
+        for ident in (0, -1, -2, 3, 100):
+            with pytest.raises(KeyError):
+                dag.vertex(ident)
+
+
+# Equal labels built separately: the run-extension check must use equality,
+# not identity.
+_LABELS = [
+    lambda: label("A"), lambda: label("B"), lambda: label("C"),
+    lambda: label("X", "Y"), lambda: label("X", "Y", "Z", count=2),
+]
+_RUNS = st.lists(
+    st.tuples(st.sampled_from(_LABELS), st.integers(min_value=1, max_value=4)),
+    max_size=12,
+).map(lambda pairs: [(make(), count) for make, count in pairs])
+
+
+def _fields(vertex):
+    return tuple(getattr(vertex, name) for name in vertex.__slots__)
+
+
+class TestBatchedAccesses:
+    """``access_seq`` and ``access_run`` are exactly repeated ``access``."""
+
+    @staticmethod
+    def _start(start):
+        dag = TraceDAG(dedupe=start != "chain")
+        cursor = dag.root_cursor()
+        if start == "merged":
+            cursor = dag.access(cursor, A)
+            cursor = dag.merge(dag.access(cursor, B),
+                               dag.access(dag.access(cursor, C), C))
+            assert len(cursor) == 2
+        return dag, cursor
+
+    @settings(max_examples=60, deadline=None)
+    @given(start=st.sampled_from(["chain", "root", "merged"]),
+           prefix=_RUNS, runs=_RUNS)
+    def test_seq_run_and_access_agree(self, start, prefix, runs):
+        outcomes = []
+        for way in ("seq", "run", "access"):
+            dag, cursor = self._start(start)
+            for batch in (prefix, runs):
+                if way == "seq":
+                    cursor = dag.access_seq(cursor, batch)
+                elif way == "run":
+                    for access, count in batch:
+                        cursor = dag.access_run(cursor, access, count)
+                else:
+                    for access, count in batch:
+                        for _ in range(count):
+                            cursor = dag.access(cursor, access)
+            ends = dag.finalize(cursor)
+            outcomes.append((
+                cursor, dag.size, dag.accesses_recorded,
+                dag.count(ends), dag.count(ends, stuttering=True),
+                dag.path_length_span(ends),
+                [_fields(vertex) for vertex in dag.vertices()],
+                [_fields(vertex) for vertex in dag.stutter_vertices()],
+            ))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+class TestColumnarStorage:
+    def test_fork_free_chain_leaves_no_per_vertex_objects(self):
+        """A fork-free commit appends to the DAG's lists: no vertex records
+        or parent sets for the cyclic collector to track."""
+        dag = TraceDAG(dedupe=False)
+        cursor = dag.root_cursor()
+        runs = [(A, 1), (B, 2)] * 5_000
+        gc.collect()
+        before = len(gc.get_objects())
+        cursor = dag.access_seq(cursor, runs)
+        grown = len(gc.get_objects()) - before
+        assert dag.size == 10_000  # root + 9,999 commits; the tail is open
+        assert grown < 100

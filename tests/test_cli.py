@@ -128,7 +128,12 @@ class TestSweep:
         code = main(["sweep", "--entry-bytes", "16", "--no-cache",
                      "figure7a", "--profile", str(profile_path)])
         assert code == 0
-        assert "profile written to" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "profile written to" in out
+        table = out.split("self time by package", 1)[1].split("\n\n", 1)[0]
+        packages = [line.split()[0] for line in table.splitlines()[1:]]
+        assert "repro.core" in packages
+        assert "repro.analysis" in packages
         import pstats
         stats = pstats.Stats(str(profile_path))
         assert stats.total_calls > 0
