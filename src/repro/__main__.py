@@ -6,8 +6,8 @@ Subcommands
   (``--filter SUBSTR`` narrows it, ``--policies`` shows the policy axis)
 - ``figure NAME... | --all``    — regenerate paper figures (paper-style tables)
 - ``run`` / ``sweep [NAME...]`` — run scenarios through the SweepRunner,
-  optionally pool-parallel (``--jobs``, warm-started workers with one
-  duration-balanced shard per worker), selected by substring
+  optionally pool-parallel (``--jobs``, warm-started workers that each
+  take the next scenario when idle), selected by substring
   (``--select``), persisted (``--store``), with per-scenario wall-clock
   timings appended to a benchmark log (``--bench-out``), span-traced
   (``--trace OUT`` writes a Chrome ``trace_event`` JSON viewable in
@@ -120,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "progress for ~2x this budget")
     sweep.add_argument("--max-retries", type=int, default=2, metavar="N",
                        help="times a scenario that crashed or hung its "
-                            "worker is retried (isolated, with backoff) "
+                            "worker is retried (with backoff) "
                             "before being quarantined as a failed result "
                             "(default 2)")
     sweep.add_argument("--bench-out", default=None,

@@ -92,13 +92,6 @@ class AnalysisConfig:
     # the knob (and the REPRO_NO_SPECIALIZE env var, which overrides it)
     # exists for ablation and as a rot guard.
     specialize: bool = True
-    # Observability (repro.obs): emit phase spans into the process tracer.
-    # Default off; the engine activates the tracer when set, and the
-    # REPRO_TRACE env var (how `--trace` reaches pool workers) enables the
-    # tracer process-wide regardless of this knob.  Tracing is annotation-
-    # only — results are bit-identical on or off, enforced by the catalogue
-    # differential in tests/sweep/test_observability.py.
-    trace: bool = False
 
     def __post_init__(self) -> None:
         unknown = [model for model in self.adversary_models

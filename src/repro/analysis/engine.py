@@ -426,10 +426,7 @@ class Engine:
         # Observability is annotation-only: spans/samples record wall-clock
         # *around* the phases below and never feed back into scheduling or
         # the abstract domain (the on/off catalogue differential enforces
-        # bit-identical results).  config.trace opts a library caller into
-        # the process tracer; the CLI uses the REPRO_TRACE env var instead.
-        if self.context.config.trace:
-            obs_trace.start()
+        # bit-identical results).
         run_span = obs_trace.span("engine.run", entry=entry)
         run_span.__enter__()
         try:

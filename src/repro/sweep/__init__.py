@@ -12,8 +12,8 @@ turns that grid into data and machinery:
   consume.
 
 Execution is fault-tolerant: :mod:`repro.sweep.supervisor` replaces the
-bare process pool with supervised workers (death detection, retry with
-bisection, quarantine), :mod:`repro.sweep.faults` provides the
+bare process pool with supervised workers (death detection, retry,
+quarantine), :mod:`repro.sweep.faults` provides the
 deterministic chaos harness that tests it, and completed results are
 checkpointed into the store as they land so interrupted sweeps resume.
 """

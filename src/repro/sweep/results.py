@@ -262,6 +262,15 @@ class SweepResult:
         )
 
 
+def _rebuilds(payload: dict) -> bool:
+    """Whether :meth:`SweepResult.from_payload` accepts ``payload``."""
+    try:
+        SweepResult.from_payload(payload)
+    except (KeyError, TypeError, ValueError):
+        return False
+    return True
+
+
 class ResultStore:
     """On-disk JSON store of sweep results, keyed by scenario fingerprint.
 
@@ -291,15 +300,17 @@ class ResultStore:
         # serving them would hand callers stale/mis-keyed counters and make
         # identical sweeps produce store files that disagree byte-for-byte
         # with fresh runs.  Invalidated scenarios simply re-run.
-        # Non-``ok`` payloads are additionally dropped on load: no writer
-        # of this store produces them, but a hand-edited or adversarial
-        # file must not seed the cache with failed results.
+        # Non-``ok`` payloads, and payloads that do not rebuild into a
+        # result, are additionally dropped on load: no writer of this store
+        # produces them, but a hand-edited or adversarial file must neither
+        # seed the cache with failed results nor crash a later ``get``.
         self._results = {
             fingerprint: payload
             for fingerprint, payload in dict(data.get("results", {})).items()
             if isinstance(payload, dict)
             and payload.get("metrics_schema") == METRICS_SCHEMA
             and payload.get("status", "ok") == "ok"
+            and _rebuilds(payload)
         }
 
     def get(self, fingerprint: str) -> SweepResult | None:

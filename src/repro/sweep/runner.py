@@ -44,10 +44,8 @@ from repro.sweep.results import (
     BoundRow,
     ResultStore,
     SweepResult,
-    load_bench_log,
 )
 from repro.sweep.scenario import KERNEL, LEAKAGE, Scenario, ScenarioError
-from repro.sweep.sharding import calculate_shards, predict_costs
 from repro.vm.cache import HierarchySpec
 
 __all__ = ["DEADLINE_ENV", "MAX_RSS_ENV", "SweepRunner", "default_runner",
@@ -255,9 +253,9 @@ def _execute_scenario_inner(scenario: Scenario, analyze) -> SweepResult:
 # ----------------------------------------------------------------------
 
 # Directory for in-worker cProfile dumps (set by `sweep --profile` when the
-# pool engages): each task's profile lands as worker-<pid>-<seq>.pstats,
-# and the CLI merges them with pstats.Stats.add.  An env var because pool
-# workers cannot share the parent's profiler object.
+# pool engages): each worker's profile lands as worker-<pid>.pstats when it
+# stops, and the CLI merges them with pstats.Stats.add.  An env var because
+# pool workers cannot share the parent's profiler object.
 PROFILE_DIR_ENV = "REPRO_PROFILE_DIR"
 
 
@@ -342,7 +340,6 @@ class SweepRunner:
         processes: int = 1,
         store: ResultStore | str | os.PathLike | None = None,
         use_cache: bool = True,
-        bench_log: dict[str, float] | str | os.PathLike | None = None,
         max_retries: int = 2,
         task_timeout_s: float | None = None,
     ) -> None:
@@ -359,14 +356,6 @@ class SweepRunner:
         # The most recent pool supervisor, exposing its retry/death/
         # quarantine telemetry for the CLI's degraded-sweep summary.
         self.last_pool = None
-        # Timings steering the cost-aware pool sharding: a {key: seconds}
-        # mapping, a path to a BENCH_sweep.json-style log, or None to probe
-        # the repo's checked-in log (missing file → heuristic costs only).
-        if bench_log is None:
-            bench_log = "BENCH_sweep.json"
-        if not isinstance(bench_log, dict):
-            bench_log = load_bench_log(bench_log)
-        self._timings: dict[str, float] = bench_log
         self._memory: dict[str, SweepResult] = {}
 
     # ------------------------------------------------------------------
@@ -406,10 +395,6 @@ class SweepRunner:
         """Journal the store to disk (atomic; cheap per-scenario)."""
         if self.store is not None:
             self.store.save()
-
-    def clear_cache(self) -> None:
-        """Drop the in-process cache (the on-disk store is untouched)."""
-        self._memory.clear()
 
     def adopt(self, results: Iterable[SweepResult]) -> None:
         """Seed the cache with results computed elsewhere.
@@ -499,16 +484,7 @@ class SweepRunner:
     def _run_pool(self, scenarios: list[Scenario]) -> list[SweepResult]:
         from repro.sweep.supervisor import SupervisedPool  # lazy: cycle
 
-        workers = min(self.processes, len(scenarios))
-        # Cost-aware sharding: predict each scenario's runtime (recorded
-        # bench timings when available, size heuristic otherwise) and pack
-        # one duration-balanced shard per worker, so no worker is left
-        # holding every expensive full-geometry analysis while the others
-        # idle — the failure mode of count-based chunking.  One shard per
-        # worker also means one dispatch per worker on the happy path.
-        costs = predict_costs(scenarios, self._timings)
-        shards = [shard for shard in calculate_shards(costs, workers) if shard]
-        pool = SupervisedPool(workers, max_retries=self.max_retries,
+        pool = SupervisedPool(self.processes, max_retries=self.max_retries,
                               task_timeout_s=self.task_timeout_s)
         self.last_pool = pool
 
@@ -518,7 +494,7 @@ class SweepRunner:
 
         # The supervisor returns results in input order with no holes:
         # every scenario ends as a worker result or a quarantine report.
-        return pool.run(scenarios, shards, on_result=checkpoint)
+        return pool.run(scenarios, on_result=checkpoint)
 
 
 _DEFAULT_RUNNER: SweepRunner | None = None

@@ -1,4 +1,4 @@
-"""The supervised pool: death detection, retry, bisection, quarantine.
+"""The supervised pool: death detection, retry, quarantine, dispatch order.
 
 Every test drives the real ``SweepRunner`` pool path with real worker
 processes and the deterministic fault harness — no mocked process trees.
@@ -10,6 +10,7 @@ budget survives the worker it kills.
 import pytest
 
 from repro.casestudy.scenarios import (
+    all_scenarios,
     gather_scenario,
     lookup_scenario,
     sqam_scenario,
@@ -66,6 +67,27 @@ class TestWorkerDeathRecovery:
         results = runner.run(_batch())
         assert all(result.ok for result in results)
         assert runner.last_pool.worker_deaths == 1
+
+    def test_hung_scenario_holds_back_only_itself(self, monkeypatch,
+                                                  fault_dir):
+        """While one worker hangs, the other takes every other scenario."""
+        monkeypatch.setenv(faults.FAULT_ENV, "hang:sqm-")
+        runner = SweepRunner(processes=2, use_cache=False, task_timeout_s=2)
+        deaths_when_landed = {}
+        remember = runner._remember
+
+        def recording_remember(result):
+            deaths_when_landed[result.scenario] = runner.last_pool.worker_deaths
+            remember(result)
+
+        monkeypatch.setattr(runner, "_remember", recording_remember)
+        hung, *others = _batch()
+        results = runner.run([hung, *others])
+        assert all(result.ok for result in results)
+        # Every other scenario landed before the hung worker was killed.
+        assert [deaths_when_landed[scenario.name]
+                for scenario in others] == [0] * len(others)
+        assert deaths_when_landed[hung.name] == 1
 
 
 class TestQuarantine:
@@ -128,6 +150,19 @@ class TestPoolInvariants:
         runner.run(_batch())
         assert len(seen) == len(_batch())  # one journal write per scenario
         assert all(seen)
+
+    def test_pool_results_in_input_order(self):
+        """A pool run returns the same results, in the same order, as the
+        inline runner — dispatch must never reorder or drop."""
+        names = ["lookup-O2-64B", "kernel-scatter_102f-32B",
+                 "sqm-O2-64B", "naive-32B", "figure7a"]
+        catalogue = all_scenarios()
+        selected = [catalogue[name] for name in names]
+        pooled = SweepRunner(processes=2, use_cache=False).run(selected)
+        inline = SweepRunner(processes=1, use_cache=False).run(selected)
+        assert [result.scenario for result in pooled] == names
+        assert [result.to_payload() for result in pooled] == \
+            [result.to_payload() for result in inline]
 
     def test_clean_pool_runs_report_no_supervision_noise(self, monkeypatch):
         monkeypatch.delenv(faults.FAULT_ENV, raising=False)

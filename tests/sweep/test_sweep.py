@@ -28,6 +28,7 @@ from repro.sweep import (
     SweepRunner,
     execute_scenario,
 )
+from repro.sweep.results import METRICS_SCHEMA
 
 I, D = AccessKind.INSTRUCTION, AccessKind.DATA
 
@@ -160,6 +161,18 @@ class TestResultStoreRobustness:
         runner = SweepRunner(store=str(store_path))
         results = runner.run([gather_scenario(nbytes=16)])
         assert len(results) == 1 and results[0].rows
+
+    def test_malformed_entry_reruns(self, tmp_path):
+        """An entry with the right schema but no result fields re-runs."""
+        scenario = gather_scenario(nbytes=16)
+        clean_path = tmp_path / "clean.json"
+        SweepRunner(store=str(clean_path)).run([scenario])
+        store_path = tmp_path / "store.json"
+        store_path.write_text(json.dumps({"version": 1, "results": {
+            scenario.fingerprint(): {"metrics_schema": METRICS_SCHEMA}}}))
+        result, = SweepRunner(store=str(store_path)).run([scenario])
+        assert result.ok and not result.cached
+        assert store_path.read_bytes() == clean_path.read_bytes()
 
 
 class TestPolicyAdversaryGrid:
