@@ -3,42 +3,20 @@
 Every benchmark regenerates one of the paper's tables or figures and asserts
 its shape against the paper's reported numbers, so ``pytest
 benchmarks/bench_*.py`` doubles as the reproduction harness.  Analyses are
-deterministic, so a single measured round is representative.
-
-Each benchmarked call's wall-clock time is also appended to
-``.bench/BENCH_sweep.json`` (untracked), keyed by test id, so local runs
-never dirty the committed ``BENCH_sweep.json`` snapshot at the repository
-root.  To refresh the tracked snapshot deliberately, point the CLI at it:
-``python -m repro sweep ... --bench-out BENCH_sweep.json``.
+deterministic, so a single measured round is representative.  Speed claims
+are measured by ``perfbench/run.py``; ``tests/test_work_budget.py`` pins
+the exact work the engine does.
 """
-
-import os
-import time
 
 import pytest
 
-from repro.sweep.results import update_bench_log
-
-BENCH_LOG = os.path.join(os.path.dirname(__file__), os.pardir,
-                         ".bench", "BENCH_sweep.json")
-
-_timings: dict[str, float] = {}
-
 
 @pytest.fixture()
-def once(benchmark, request):
+def once(benchmark):
     """Run the benchmarked callable exactly once (deterministic analyses)."""
 
     def run(func, *args, **kwargs):
-        started = time.perf_counter()
-        result = benchmark.pedantic(func, args=args, kwargs=kwargs,
-                                    rounds=1, iterations=1, warmup_rounds=0)
-        _timings[request.node.nodeid] = round(time.perf_counter() - started, 4)
-        return result
+        return benchmark.pedantic(func, args=args, kwargs=kwargs,
+                                  rounds=1, iterations=1, warmup_rounds=0)
 
     return run
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Write the per-figure wall-clock log (merging earlier runs)."""
-    update_bench_log(os.path.abspath(BENCH_LOG), _timings)

@@ -8,12 +8,11 @@ Subcommands
 - ``run`` / ``sweep [NAME...]`` — run scenarios through the SweepRunner,
   optionally pool-parallel (``--jobs``, warm-started workers that each
   take the next scenario when idle), selected by substring
-  (``--select``), persisted (``--store``), with per-scenario wall-clock
-  timings appended to a benchmark log (``--bench-out``), span-traced
-  (``--trace OUT`` writes a Chrome ``trace_event`` JSON viewable in
-  Perfetto), and optionally profiled (``--profile OUT`` dumps cProfile
-  stats of the sweep; with ``--jobs N`` the workers profile themselves
-  and the stats are merged)
+  (``--select``), persisted (``--store``), span-traced (``--trace OUT``
+  writes a Chrome ``trace_event`` JSON viewable in Perfetto), and
+  optionally profiled (``--profile OUT`` dumps cProfile stats of the
+  sweep; with ``--jobs N`` the workers profile themselves and the stats
+  are merged)
 - ``stats`` — inspect the observability outputs: summarize an exported
   trace (``--trace FILE``) and render/diff per-scenario engine counters
   from result stores (``--store FILE [--against FILE]``)
@@ -21,10 +20,6 @@ Subcommands
   base scenario, analyze original vs. transformed side by side, enforce the
   leakage ordering on the passes' targeted observers, and optionally replay
   semantic equivalence on the VM (``--validate``)
-- ``bench-compare`` — gate freshly measured benchmark timings
-  (``--current``) against a committed baseline (``--baseline``), failing
-  only when a slow entry (``--min-seconds``) regresses beyond
-  ``--max-ratio``
 
 The catalogue includes the policy × adversary grid (``lookup-O2-64B-plru``,
 ``kernel-scatter_102f-32B-fifo``, …), the generated countermeasure grid
@@ -45,6 +40,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -53,7 +49,6 @@ from repro.casestudy import experiments
 from repro.casestudy.scenarios import all_scenarios, transformed_scenario
 from repro.casestudy.targets import default_layouts
 from repro.sweep import Scenario, SweepResult, SweepRunner
-from repro.sweep.results import update_bench_log
 from repro.sweep.scenario import ScenarioError
 
 FIGURE_RUNNERS = {
@@ -123,9 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "worker is retried (with backoff) "
                             "before being quarantined as a failed result "
                             "(default 2)")
-    sweep.add_argument("--bench-out", default=None,
-                       help="append per-scenario wall-clock timings to this "
-                            "JSON log (BENCH_sweep.json format)")
     sweep.add_argument("--no-specialize", action="store_true",
                        help="disable the compile tier (block-specialized "
                             "abstract transformers): sets REPRO_NO_SPECIALIZE "
@@ -160,23 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "counter deltas against --store")
     stats.add_argument("--top", type=int, default=15,
                        help="rows per table (default 15)")
-
-    bench = commands.add_parser(
-        "bench-compare",
-        help="compare a fresh benchmark timing log against a baseline")
-    bench.add_argument("--baseline", default="BENCH_sweep.json",
-                       help="committed baseline timings (default: "
-                            "BENCH_sweep.json)")
-    bench.add_argument("--current", default=".bench/BENCH_sweep.json",
-                       help="freshly measured timings (default: "
-                            ".bench/BENCH_sweep.json)")
-    bench.add_argument("--max-ratio", type=float, default=2.0,
-                       help="fail when current/baseline exceeds this ratio "
-                            "(default 2.0)")
-    bench.add_argument("--min-seconds", type=float, default=0.5,
-                       help="only gate entries at least this slow in the "
-                            "baseline (default 0.5s); faster entries are "
-                            "reported but never fail the comparison")
 
     transform = commands.add_parser(
         "transform", help="apply countermeasure passes and compare leakage")
@@ -278,31 +253,6 @@ def _render_sweep_result(result: SweepResult) -> str:
     return "\n".join(lines)
 
 
-def _append_bench_log(path: str, results: list[SweepResult]) -> int:
-    """Merge freshly measured sweep timings into a BENCH_sweep-style log.
-
-    Cached results carry no meaningful wall-clock and are skipped; keys are
-    ``cli/sweep/<scenario>`` so CLI timings sit beside the benchmark
-    harness's per-figure entries.  When a result carries an environment
-    block, its peak RSS lands as ``cli/rss_mb/<scenario>`` — a coarse
-    (process-peak, hence monotone within a worker) memory figure that
-    ``bench-compare`` lists beside the timings, with its ratio to the
-    baseline.  Returns the number of entries written.
-    """
-    entries: dict[str, float] = {}
-    for result in results:
-        if result.cached or not result.ok:
-            # Cached results carry no fresh wall-clock; failed results
-            # carry one that measures the failure, not the analysis.
-            continue
-        entries[f"cli/sweep/{result.scenario}"] = round(result.elapsed, 4)
-        environment = result.metrics.get("environment") or {}
-        rss = environment.get("peak_rss_bytes")
-        if rss:
-            entries[f"cli/rss_mb/{result.scenario}"] = round(rss / 1e6, 1)
-    return update_bench_log(path, entries)
-
-
 def _specialization_profile(results: list[SweepResult]) -> str | None:
     """Per-scenario compile-tier lines for ``sweep --profile`` output.
 
@@ -360,9 +310,23 @@ def _command_sweep(args) -> int:
         print("--resume and --no-cache contradict each other",
               file=sys.stderr)
         return 2
+    # Checked before anything runs: a NaN deadline makes the supervisor
+    # kill healthy workers, and a negative one fails every scenario.
+    if args.timeout is not None and not (math.isfinite(args.timeout)
+                                         and args.timeout > 0):
+        print(f"--timeout must be a finite number of seconds > 0, "
+              f"got {args.timeout}", file=sys.stderr)
+        return 2
+    if args.jobs is not None and args.jobs < 1:
+        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
+    if args.max_retries < 0:
+        print(f"--max-retries must be >= 0, got {args.max_retries}",
+              file=sys.stderr)
+        return 2
     if args.no_specialize:
-        # The env var (not just a config flag) so fork/spawn pool workers
-        # and every library layer observe the same mode.
+        # The env var, so fork/spawn pool workers and every library layer
+        # observe the same mode.
         from repro.analysis.specialize import NO_SPECIALIZE_ENV
         os.environ[NO_SPECIALIZE_ENV] = "1"
     if args.trace:
@@ -504,9 +468,6 @@ def _command_sweep(args) -> int:
               f"{pool.retries} retrie(s), {pool.quarantined} quarantined")
     if args.store:
         print(f"results stored in {args.store}")
-    if args.bench_out:
-        written = _append_bench_log(args.bench_out, results)
-        print(f"{written} timings appended to {args.bench_out}")
     if args.trace:
         from repro.obs import trace as obs_trace
         payload = obs_trace.write(args.trace)
@@ -679,77 +640,6 @@ def _command_stats(args) -> int:
     return status
 
 
-def _command_bench_compare(args) -> int:
-    """Gate benchmark timings against a committed baseline.
-
-    Entries present in both logs are compared as ``current / baseline``;
-    only entries at least ``--min-seconds`` slow in the baseline can fail
-    (fast entries are pure noise), and only when the ratio exceeds
-    ``--max-ratio``.  Entries missing from either side are reported but
-    never fail — partial benchmark runs stay usable.  When the baseline
-    records a CPU count different from this machine's, regressions are
-    reported as warnings instead of failing: cross-machine timing ratios
-    (especially of parallel sweeps) say nothing about the code.  Baselines
-    without a recorded environment gate normally.
-    """
-    from repro.sweep.results import load_bench_environment, load_bench_log
-
-    baseline = load_bench_log(args.baseline)
-    if not baseline:
-        print(f"no baseline timings in {args.baseline}", file=sys.stderr)
-        return 2
-    current = load_bench_log(args.current)
-    if not current:
-        print(f"no current timings in {args.current}", file=sys.stderr)
-        return 2
-    # Environment comparison is key-tolerant: logs written before a key
-    # existed (or after one was retired) still gate — only the keys present
-    # in the baseline are consulted, and unknown keys are ignored.
-    environment = load_bench_environment(args.baseline)
-    recorded_cpus = environment.get("cpu_count")
-    cpu_mismatch = (recorded_cpus is not None
-                    and recorded_cpus != os.cpu_count())
-    if cpu_mismatch:
-        print(f"note: baseline recorded on a {recorded_cpus}-CPU machine, "
-              f"this one has {os.cpu_count()} — regressions below are "
-              f"warnings, not failures")
-
-    shared = sorted(set(baseline) & set(current))
-    regressions = []
-    print(f"{'entry':<72}{'base':>9}{'now':>9}{'ratio':>8}")
-    for key in shared:
-        base, now = baseline[key], current[key]
-        ratio = now / base if base > 0 else float("inf")
-        gated = base >= args.min_seconds
-        flag = ""
-        if gated and ratio > args.max_ratio:
-            regressions.append((key, base, now, ratio))
-            flag = "  <- REGRESSION"
-        marker = "*" if gated else " "
-        name = key.split("::")[-1]
-        print(f"{marker}{name:<71}{base:>9.3f}{now:>9.3f}{ratio:>8.2f}{flag}")
-    skipped = sorted((set(baseline) | set(current)) - set(shared))
-    if skipped:
-        print(f"({len(skipped)} entries present in only one log, ignored)")
-    if regressions:
-        severity = "warning" if cpu_mismatch else "regression"
-        print(f"\n{len(regressions)} benchmark {severity}(s) beyond "
-              f"{args.max_ratio:.1f}x on gated (>= {args.min_seconds:.1f}s) "
-              f"entries:", file=sys.stderr)
-        for key, base, now, ratio in regressions:
-            print(f"  {key}: {base:.3f}s -> {now:.3f}s ({ratio:.2f}x)",
-                  file=sys.stderr)
-        if cpu_mismatch:
-            print("(not gating: baseline CPU count differs)", file=sys.stderr)
-            return 0
-        return 1
-    gated_count = sum(1 for key in shared
-                      if baseline[key] >= args.min_seconds)
-    print(f"\nno regressions beyond {args.max_ratio:.1f}x "
-          f"({gated_count} gated entries, marked *)")
-    return 0
-
-
 def _command_transform(args) -> int:
     catalogue = all_scenarios(entry_bytes=args.entry_bytes)
     base = catalogue.get(args.name)
@@ -854,8 +744,6 @@ def main(argv: list[str] | None = None) -> int:
         return _command_figure(args)
     if args.command == "transform":
         return _command_transform(args)
-    if args.command == "bench-compare":
-        return _command_bench_compare(args)
     if args.command == "stats":
         return _command_stats(args)
     return _command_sweep(args)

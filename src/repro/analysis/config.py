@@ -86,12 +86,6 @@ class AnalysisConfig:
     deadline_s: float | None = None
     max_rss_bytes: int | None = None
     stack_top: int = 0x0BFF_F000
-    # Compile tier (repro.analysis.specialize): execute straight-line code
-    # through per-block specialized functions, compiled once a block turns
-    # hot in a run.  Results are bit-identical with the interpreted path;
-    # the knob (and the REPRO_NO_SPECIALIZE env var, which overrides it)
-    # exists for ablation and as a rot guard.
-    specialize: bool = True
 
     def __post_init__(self) -> None:
         unknown = [model for model in self.adversary_models

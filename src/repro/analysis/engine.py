@@ -455,8 +455,7 @@ class Engine:
         # hot in the exploration loop.
         evictions_base = compile_tier_evictions()
         program = None
-        if (specialization_enabled(self.context.config)
-                and AccessKind.SHARED not in self.kinds):
+        if specialization_enabled() and AccessKind.SHARED not in self.kinds:
             # A SHARED-kind DAG observes instruction and data accesses
             # interleaved in program order; the compile tier emits a block's
             # fetches batched ahead of its data accesses (identical per-kind

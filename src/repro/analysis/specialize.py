@@ -88,10 +88,9 @@ HOT_RUNS = 4
 _PROGRAM_CACHE: LRUCache = LRUCache(DEFAULT_CACHE_CAP)
 
 
-def specialization_enabled(config) -> bool:
-    """The effective on/off state: the config knob gated by the env var."""
-    return bool(getattr(config, "specialize", True)) and not os.environ.get(
-        NO_SPECIALIZE_ENV)
+def specialization_enabled() -> bool:
+    """Whether the compile tier is on: unless ``NO_SPECIALIZE_ENV`` is set."""
+    return not os.environ.get(NO_SPECIALIZE_ENV)
 
 
 def compile_tier_evictions() -> int:

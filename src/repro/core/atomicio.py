@@ -1,7 +1,7 @@
 """Atomic file writes: tempfile in the target directory + ``os.replace``.
 
-Every artifact the repo persists — result stores, bench logs, exported
-traces, merged profiles — goes through :func:`atomic_write_text` (or the
+Every artifact the repo persists — result stores, exported traces,
+merged profiles — goes through :func:`atomic_write_text` (or the
 JSON convenience wrapper), so a crash or kill mid-write can never leave a
 truncated file for a later run to half-load.  ``os.replace`` is atomic on
 POSIX when source and destination share a filesystem, which writing the

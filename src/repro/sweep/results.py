@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 from dataclasses import dataclass, field
 
 from repro.core.adversary import AdversaryBound
@@ -35,8 +34,7 @@ from repro.core.leakage import LeakageReport, ObservationBound
 from repro.core.observers import AccessKind
 
 __all__ = ["AdversaryRow", "BoundRow", "METRICS_SCHEMA", "STATUSES",
-           "SweepResult", "ResultStore", "load_bench_log",
-           "load_bench_environment", "update_bench_log"]
+           "SweepResult", "ResultStore"]
 
 # Per-scenario outcome vocabulary.  ``ok`` is the only storable status —
 # a failed or degraded result is reported, retried, or quarantined by the
@@ -57,79 +55,6 @@ STORE_VERSION = 1
 # every golden hash without any computed value changing.  Entries stored
 # with those keys only carry three extra execution counters.
 METRICS_SCHEMA = 2
-
-
-def _bench_environment() -> dict:
-    """The machine facts recorded alongside bench timings.
-
-    ``bench-compare`` uses the recorded CPU count to decide whether a
-    timing regression is comparable at all: parallel-sweep timings from a
-    16-core runner gate nothing on a 2-core laptop.
-    """
-    return {
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-    }
-
-
-def load_bench_log(path: str | os.PathLike) -> dict[str, float]:
-    """Read the timings of a ``BENCH_sweep.json``-style log.
-
-    The one reader for every consumer of the log (the merging writer below
-    and the CLI's ``bench-compare``): anything that is not a well-shaped
-    ``{"version": 1, "timings": {...}}`` object — missing file, truncated
-    JSON, wrong type — reads as empty rather than raising.
-    """
-    try:
-        with open(os.fspath(path), encoding="utf-8") as handle:
-            loaded = json.load(handle)
-    except (OSError, ValueError):
-        return {}
-    if isinstance(loaded, dict) and isinstance(loaded.get("timings"), dict):
-        return dict(loaded["timings"])
-    return {}
-
-
-def load_bench_environment(path: str | os.PathLike) -> dict:
-    """Read the recorded environment of a ``BENCH_sweep.json``-style log.
-
-    Returns ``{}`` for logs written before environment recording existed,
-    and for missing/corrupt files — callers treat an absent environment as
-    "comparable" (the pre-existing gating behavior).
-    """
-    try:
-        with open(os.fspath(path), encoding="utf-8") as handle:
-            loaded = json.load(handle)
-    except (OSError, ValueError):
-        return {}
-    if isinstance(loaded, dict) and isinstance(loaded.get("environment"), dict):
-        return dict(loaded["environment"])
-    return {}
-
-
-def update_bench_log(path: str | os.PathLike, timings: dict[str, float]) -> int:
-    """Merge wall-clock timings into a ``BENCH_sweep.json``-style log.
-
-    The one writer for every producer of the log (the benchmark harness and
-    the CLI's ``--bench-out``): loads the existing file if its shape is
-    valid (see :func:`load_bench_log`), merges, and rewrites atomically
-    with sorted keys.  The writing machine's environment (CPU count,
-    Python version) is recorded alongside, replacing whatever the log
-    carried before — timings and environment always describe the same
-    machine.  Returns the number of entries merged in.
-    """
-    if not timings:
-        return 0
-    path = os.fspath(path)
-    merged = load_bench_log(path)
-    merged.update(timings)
-    payload = {
-        "version": 1,
-        "environment": _bench_environment(),
-        "timings": {key: merged[key] for key in sorted(merged)},
-    }
-    atomic_write_json(path, payload)
-    return len(timings)
 
 
 @dataclass(frozen=True, slots=True)

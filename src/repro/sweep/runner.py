@@ -27,6 +27,7 @@ successfully analyzed scenarios.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 import traceback
@@ -86,24 +87,29 @@ def _guarded_config(config):
     The env vars (not constructor plumbing) so fork/spawn pool workers and
     inline runs observe the same limits; a config that already carries its
     own ``deadline_s``/``max_rss_bytes`` keeps them.  Malformed values are
-    ignored — a typo'd guard must not crash the sweep it guards.
+    ignored — a typo'd guard must not crash the sweep it guards.  That
+    covers values out of range, too: a deadline that is not a finite
+    number >= 0, and an RSS ceiling below one byte.
     """
     updates = {}
     if config.deadline_s is None:
-        raw = os.environ.get(DEADLINE_ENV)
-        if raw:
-            try:
-                updates["deadline_s"] = float(raw)
-            except ValueError:
-                pass
+        deadline = _env_number(DEADLINE_ENV)
+        if deadline is not None and deadline >= 0:
+            updates["deadline_s"] = deadline
     if config.max_rss_bytes is None:
-        raw = os.environ.get(MAX_RSS_ENV)
-        if raw:
-            try:
-                updates["max_rss_bytes"] = int(float(raw) * (1 << 20))
-            except ValueError:
-                pass
+        ceiling = int((_env_number(MAX_RSS_ENV) or 0) * (1 << 20))
+        if ceiling > 0:
+            updates["max_rss_bytes"] = ceiling
     return dataclass_replace(config, **updates) if updates else config
+
+
+def _env_number(name: str) -> float | None:
+    """The finite number an env var holds; None when unset or malformed."""
+    try:
+        value = float(os.environ.get(name, ""))
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
 
 
 def _engine_metrics(engine_result) -> dict:

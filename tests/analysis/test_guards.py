@@ -18,6 +18,7 @@ from repro.casestudy.scenarios import sqm_scenario
 from repro.sweep.runner import (
     DEADLINE_ENV,
     MAX_RSS_ENV,
+    _guarded_config,
     execute_scenario,
     execute_scenario_safe,
 )
@@ -68,6 +69,20 @@ class TestDeadlineGuard:
         monkeypatch.setenv(DEADLINE_ENV, "soon")
         result = execute_scenario_safe(sqm_scenario(opt_level=2, line_bytes=64))
         assert result.ok
+
+
+@pytest.mark.parametrize("name, raw", [
+    (DEADLINE_ENV, "-1"), (DEADLINE_ENV, "nan"), (DEADLINE_ENV, "inf"),
+    (MAX_RSS_ENV, "0"), (MAX_RSS_ENV, "-5"), (MAX_RSS_ENV, "inf"),
+])
+def test_out_of_range_guard_env_is_ignored(monkeypatch, name, raw):
+    """A guard value out of range is malformed: the config keeps no limit
+    instead of failing every scenario (or, for NaN, arming nothing)."""
+    monkeypatch.delenv(DEADLINE_ENV, raising=False)
+    monkeypatch.delenv(MAX_RSS_ENV, raising=False)
+    monkeypatch.setenv(name, raw)
+    config = _guarded_config(AnalysisConfig())
+    assert config.deadline_s is None and config.max_rss_bytes is None
 
 
 class TestRssGuard:

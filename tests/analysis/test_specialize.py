@@ -253,11 +253,11 @@ main:
 """
 
 
-def _run_engine(specialize: bool, source: str = _COUNTER_PROGRAM):
+def _run_engine(source: str = _COUNTER_PROGRAM):
     image = parse_asm(source).assemble()
     spec = InputSpec(entry="main",
                      registers=(InputSpec.reg_constant(ESI, 0x080E_B000),))
-    context = AnalysisContext(AnalysisConfig(specialize=specialize))
+    context = AnalysisContext(AnalysisConfig())
     engine = Engine(image, context, Transfer(context, image))
     state, _ = build_initial_state(context, spec, image)
     result = engine.run(image.symbol("main"), state)
@@ -269,47 +269,41 @@ class TestCounterInvariants:
     def _tier_enabled(self, monkeypatch):
         """These tests choose the mode explicitly; an inherited
         REPRO_NO_SPECIALIZE (e.g. a full-suite ablation run) must not
-        override the config knob under test."""
+        decide it for them."""
         monkeypatch.delenv(NO_SPECIALIZE_ENV, raising=False)
 
     def test_spec_plus_interp_steps_is_steps(self):
-        result, stats = _run_engine(specialize=True, source=_LOOP_PROGRAM)
+        result, stats = _run_engine(source=_LOOP_PROGRAM)
         assert stats.spec_steps > 0
         assert stats.spec_steps + stats.interp_steps == result.steps
         assert stats.decode_hits + stats.decode_misses == result.steps
 
-    def test_config_knob_disables_tier(self):
-        result, stats = _run_engine(specialize=False)
-        assert stats.spec_steps == 0 and stats.spec_blocks == 0
-        assert stats.interp_steps == result.steps
-        assert stats.decode_hits + stats.decode_misses == result.steps
-
     def test_env_var_disables_tier(self, monkeypatch):
         monkeypatch.setenv(NO_SPECIALIZE_ENV, "1")
-        result, stats = _run_engine(specialize=True)
+        result, stats = _run_engine()
         assert stats.spec_steps == 0 and stats.spec_blocks == 0
         assert stats.interp_steps == result.steps
 
     def test_specialization_enabled_gate(self, monkeypatch):
         monkeypatch.delenv(NO_SPECIALIZE_ENV, raising=False)
-        assert specialization_enabled(AnalysisConfig())
-        assert not specialization_enabled(AnalysisConfig(specialize=False))
+        assert specialization_enabled()
         monkeypatch.setenv(NO_SPECIALIZE_ENV, "1")
-        assert not specialization_enabled(AnalysisConfig())
+        assert not specialization_enabled()
 
     def test_spec_step_rate_bounded(self):
-        _, stats = _run_engine(specialize=True, source=_LOOP_PROGRAM)
+        _, stats = _run_engine(source=_LOOP_PROGRAM)
         assert 0.0 < stats.spec_step_rate <= 1.0
 
     def test_hot_block_runs_compiled_from_its_hot_run_on(self):
-        _, stats = _run_engine(specialize=True, source=_LOOP_PROGRAM)
+        _, stats = _run_engine(source=_LOOP_PROGRAM)
         assert stats.spec_blocks == 1
         assert stats.spec_block_runs == _LOOP_ITERATIONS - HOT_RUNS + 1
         assert stats.spec_steps == stats.spec_block_runs * _LOOP_BODY_STEPS
 
-    def test_decode_misses_match_the_interpreter(self):
-        _, compiled = _run_engine(specialize=True, source=_LOOP_PROGRAM)
-        _, interpreted = _run_engine(specialize=False, source=_LOOP_PROGRAM)
+    def test_decode_misses_match_the_interpreter(self, monkeypatch):
+        _, compiled = _run_engine(source=_LOOP_PROGRAM)
+        monkeypatch.setenv(NO_SPECIALIZE_ENV, "1")
+        _, interpreted = _run_engine(source=_LOOP_PROGRAM)
         assert compiled.decode_misses == interpreted.decode_misses
 
     def test_program_cache_reuses_compiled_code(self):
@@ -361,7 +355,7 @@ class TestHotnessGate:
         trace.stop()
 
     def test_straight_line_program_compiles_nothing(self):
-        result, stats = _run_engine(specialize=True)
+        result, stats = _run_engine()
         assert stats.spec_blocks == 0
         assert stats.interp_steps == result.steps
         image = parse_asm(_COUNTER_PROGRAM).assemble()
@@ -374,10 +368,8 @@ class TestHotnessGate:
         assert programs and all(program.source == "" for program in programs)
 
     def test_kill_switches_keep_a_hot_loop_interpreted(self, monkeypatch):
-        result, stats = _run_engine(specialize=False, source=_LOOP_PROGRAM)
-        assert stats.spec_blocks == 0 and stats.interp_steps == result.steps
         monkeypatch.setenv(NO_SPECIALIZE_ENV, "1")
-        result, stats = _run_engine(specialize=True, source=_LOOP_PROGRAM)
+        result, stats = _run_engine(source=_LOOP_PROGRAM)
         assert stats.spec_blocks == 0 and stats.interp_steps == result.steps
 
     def test_second_analysis_compiles_nothing_new(self):
@@ -386,16 +378,16 @@ class TestHotnessGate:
         # program cache: cache_evictions depends on what the process
         # cached before, every other counter only on the run.
         program = specialized_program(image, image.symbol("main"))
-        _, first = _run_engine(specialize=True, source=_LOOP_PROGRAM)
+        _, first = _run_engine(source=_LOOP_PROGRAM)
         source = program.source
         assert source
-        _, second = _run_engine(specialize=True, source=_LOOP_PROGRAM)
+        _, second = _run_engine(source=_LOOP_PROGRAM)
         assert program.source == source
         assert second == first
 
     def test_each_compile_records_one_span(self):
         trace.start()
-        _, stats = _run_engine(specialize=True, source=_LOOP_PROGRAM)
+        _, stats = _run_engine(source=_LOOP_PROGRAM)
         spans = _compile_spans(trace.drain())
         assert len(spans) == stats.spec_blocks == 1
         image = parse_asm(_LOOP_PROGRAM).assemble()

@@ -1,4 +1,4 @@
-"""The ``python -m repro`` CLI: listing, policy-grid sweeps, bench log."""
+"""The ``python -m repro`` CLI: listing, policy-grid sweeps, flag checks."""
 
 import json
 import os
@@ -89,27 +89,6 @@ class TestSweep:
     def test_unknown_scenario_rejected(self, capsys):
         assert main(["sweep", "no-such-scenario"]) == 2
 
-    def test_bench_out_appends_timings(self, tmp_path, capsys):
-        bench = tmp_path / "bench.json"
-        bench.write_text(json.dumps(
-            {"version": 1, "timings": {"existing/key": 1.5}}))
-        code = main(["sweep", "--entry-bytes", "16", "--no-cache",
-                     "kernel-scatter_102f-16B-plru",
-                     "--bench-out", str(bench)])
-        assert code == 0
-        payload = json.loads(bench.read_text())
-        assert payload["timings"]["existing/key"] == 1.5
-        assert "cli/sweep/kernel-scatter_102f-16B-plru" in payload["timings"]
-
-    def test_bench_out_survives_corrupt_log(self, tmp_path):
-        bench = tmp_path / "bench.json"
-        bench.write_text("{corrupt")
-        code = main(["sweep", "--entry-bytes", "16", "--no-cache",
-                     "kernel-scatter_102f-16B", "--bench-out", str(bench)])
-        assert code == 0
-        payload = json.loads(bench.read_text())
-        assert "cli/sweep/kernel-scatter_102f-16B" in payload["timings"]
-
     def test_run_is_an_alias_for_sweep(self, capsys):
         code = main(["run", "aes-timing-2KB"])
         assert code == 0
@@ -137,71 +116,6 @@ class TestSweep:
         import pstats
         stats = pstats.Stats(str(profile_path))
         assert stats.total_calls > 0
-
-
-class TestBenchCompare:
-    @staticmethod
-    def _log(path, timings):
-        path.write_text(json.dumps({"version": 1, "timings": timings}))
-
-    def test_no_regression_passes(self, tmp_path, capsys):
-        baseline = tmp_path / "base.json"
-        current = tmp_path / "now.json"
-        self._log(baseline, {"slow": 2.0, "fast": 0.01, "only_base": 1.0})
-        self._log(current, {"slow": 2.5, "fast": 0.05, "only_now": 1.0})
-        code = main(["bench-compare", "--baseline", str(baseline),
-                     "--current", str(current)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "no regressions" in out
-        assert "present in only one log" in out
-
-    def test_slow_entry_regression_fails(self, tmp_path, capsys):
-        baseline = tmp_path / "base.json"
-        current = tmp_path / "now.json"
-        self._log(baseline, {"slow": 2.0})
-        self._log(current, {"slow": 5.0})
-        code = main(["bench-compare", "--baseline", str(baseline),
-                     "--current", str(current)])
-        assert code == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_fast_entries_never_gate(self, tmp_path):
-        baseline = tmp_path / "base.json"
-        current = tmp_path / "now.json"
-        self._log(baseline, {"fast": 0.01})
-        self._log(current, {"fast": 0.49})  # 49x but under --min-seconds
-        assert main(["bench-compare", "--baseline", str(baseline),
-                     "--current", str(current)]) == 0
-
-    def test_ratio_and_threshold_flags(self, tmp_path):
-        baseline = tmp_path / "base.json"
-        current = tmp_path / "now.json"
-        self._log(baseline, {"slow": 1.0})
-        self._log(current, {"slow": 2.5})
-        assert main(["bench-compare", "--baseline", str(baseline),
-                     "--current", str(current), "--max-ratio", "3.0"]) == 0
-        assert main(["bench-compare", "--baseline", str(baseline),
-                     "--current", str(current), "--min-seconds", "1.5"]) == 0
-        assert main(["bench-compare", "--baseline", str(baseline),
-                     "--current", str(current)]) == 1
-
-    def test_missing_or_corrupt_logs_are_usage_errors(self, tmp_path):
-        baseline = tmp_path / "base.json"
-        self._log(baseline, {"slow": 1.0})
-        assert main(["bench-compare", "--baseline", str(baseline),
-                     "--current", str(tmp_path / "missing.json")]) == 2
-        corrupt = tmp_path / "corrupt.json"
-        corrupt.write_text("{nope")
-        assert main(["bench-compare", "--baseline", str(corrupt),
-                     "--current", str(baseline)]) == 2
-
-    def test_gates_the_committed_baseline_against_itself(self, capsys):
-        """The shipped BENCH_sweep.json trivially passes against itself —
-        the shape CI relies on."""
-        assert main(["bench-compare", "--baseline", "BENCH_sweep.json",
-                     "--current", "BENCH_sweep.json"]) == 0
-        assert "no regressions" in capsys.readouterr().out
 
 
 class TestSweepTrace:
@@ -372,6 +286,21 @@ class TestSweepRobustness:
         # A failed scenario never reaches the store.
         assert json.loads(
             (tmp_path / "s.json").read_text())["results"] == {}
+
+    @pytest.mark.parametrize("flags", [
+        ["--timeout", "nan"], ["--timeout", "inf"], ["--timeout", "-1"],
+        ["--timeout", "0"], ["--jobs", "0"], ["--jobs", "-2"],
+        ["--max-retries", "-1"],
+    ], ids="=".join)
+    def test_out_of_range_flag_is_a_usage_error(self, flags, monkeypatch,
+                                                capsys):
+        from repro.sweep.runner import DEADLINE_ENV
+        # Seeded so teardown undoes a --timeout that reached os.environ.
+        monkeypatch.setenv(DEADLINE_ENV, "placeholder")
+        assert main(["sweep", "sqm-O2-64B", "lookup-O2-64B", *flags]) == 2
+        captured = capsys.readouterr()
+        assert flags[0] in captured.err
+        assert "==" not in captured.out  # no scenario ran
 
     def test_timeout_flag_plants_the_worker_deadline_env(self, monkeypatch):
         import os as _os

@@ -8,14 +8,17 @@ Extracts from ``README.md`` and ``docs/*.md``:
 - every **pass name** token and asserts it is a registered transform pass;
 - every ``--flag`` token and asserts the flag exists somewhere in the
   ``python -m repro`` argparse tree;
+- every word that follows ``python -m repro`` and asserts it is one of
+  the parser's subcommands;
 - every ``REPRO_*`` environment variable name and asserts it is a string
   literal somewhere under ``src/repro``;
 - every backticked ``*.py`` path (``sweep/runner.py``,
   ``tests/test_docs.py::Name``) and asserts the file exists relative to
   the repo root or to ``src/repro``.
 
-A renamed scenario or module, a dropped flag or environment variable, or a
-typo in an example therefore fails the suite instead of rotting silently.
+A renamed scenario or module, a dropped command, flag or environment
+variable, or a typo in an example therefore fails the suite instead of
+rotting silently.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ SCENARIO_SHAPED = re.compile(
     r"-[A-Za-z0-9_.{}|\[\],-]+)$")
 
 ENV_NAME = re.compile(r"\bREPRO_[A-Z0-9_]+")
+# The subcommand word of a CLI invocation (placeholders like <command> and
+# bare options like --help are not subcommand words).
+COMMAND = re.compile(r"python -m repro\s+([a-z][\w-]*)")
 # A source path with at least one directory, optionally naming a test or class.
 SOURCE_PATH = re.compile(r"^([\w./-]*/[\w.-]*\.py)(::\w+)?$")
 INLINE_CODE = re.compile(r"`([^`]+)`")
@@ -68,20 +74,23 @@ def _expand(token: str) -> list[str]:
     return [token]
 
 
-def _code_tokens(path: Path) -> list[tuple[str, str]]:
-    """(kind, token) pairs: kind is "inline" or "fence"."""
-    tokens: list[tuple[str, str]] = []
+def _code_spans(path: Path):
+    """(kind, text) pairs: each fenced line ("fence") and each inline code
+    span ("inline")."""
     in_fence = False
     for line in path.read_text(encoding="utf-8").splitlines():
         if FENCE.match(line):
             in_fence = not in_fence
-            continue
-        if in_fence:
-            tokens.extend(("fence", word) for word in line.split())
+        elif in_fence:
+            yield "fence", line
         else:
-            for span in INLINE_CODE.findall(line):
-                tokens.extend(("inline", word) for word in span.split())
-    return [(kind, token.strip("\"',:;()")) for kind, token in tokens]
+            yield from (("inline", span) for span in INLINE_CODE.findall(line))
+
+
+def _code_tokens(path: Path) -> list[tuple[str, str]]:
+    """(kind, token) pairs: kind is "inline" or "fence"."""
+    return [(kind, word.strip("\"',:;()"))
+            for kind, text in _code_spans(path) for word in text.split()]
 
 
 def _scenario_tokens(path: Path) -> set[str]:
@@ -129,6 +138,12 @@ def _flag_tokens(path: Path) -> set[str]:
     return {flag.split("=", 1)[0].rstrip("\"',:;().") for flag in flags}
 
 
+def _command_tokens(path: Path) -> set[str]:
+    """Words following ``python -m repro`` in fences and inline spans."""
+    return {command for _kind, text in _code_spans(path)
+            for command in COMMAND.findall(text)}
+
+
 def _env_tokens(path: Path) -> set[str]:
     """``REPRO_*`` names in code spans (``REPRO_FAULT=kind:substr`` counts
     as ``REPRO_FAULT``)."""
@@ -154,6 +169,12 @@ def _argparse_flags() -> set[str]:
     return flags
 
 
+def _subcommands() -> set[str]:
+    """The parser's subcommand names, aliases included."""
+    return {name for action in _build_parser()._actions
+            if isinstance(action.choices, dict) for name in action.choices}
+
+
 @pytest.fixture(scope="module")
 def catalogue():
     names = set(all_scenarios()) | set(FIGURE_RUNNERS)
@@ -174,6 +195,12 @@ def test_documented_flags_exist(path):
     known = _argparse_flags()
     unknown = sorted(flag for flag in _flag_tokens(path) if flag not in known)
     assert not unknown, f"{path.name} references unknown CLI flags: {unknown}"
+
+
+@pytest.mark.parametrize("path", DOC_FILES, ids=lambda p: p.name)
+def test_documented_commands_exist(path):
+    unknown = sorted(_command_tokens(path) - _subcommands())
+    assert not unknown, f"{path.name} references unknown commands: {unknown}"
 
 
 @pytest.fixture(scope="module")
@@ -223,10 +250,12 @@ def test_extraction_is_not_vacuous():
     flag_count = len(set().union(*(_flag_tokens(p) for p in DOC_FILES)))
     env_count = len(set().union(*(_env_tokens(p) for p in DOC_FILES)))
     path_count = len(set().union(*(_path_tokens(p) for p in DOC_FILES)))
+    command_count = len(set().union(*(_command_tokens(p) for p in DOC_FILES)))
     assert scenario_count >= 40, scenario_count
     assert flag_count >= 8, flag_count
     assert env_count >= 8, env_count
     assert path_count >= 40, path_count
+    assert command_count >= 5, command_count
 
 
 def test_readme_mentions_the_aes_example():
