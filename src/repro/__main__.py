@@ -11,8 +11,7 @@ Subcommands
   (``--select``), persisted (``--store``), span-traced (``--trace OUT``
   writes a Chrome ``trace_event`` JSON viewable in Perfetto), and
   optionally profiled (``--profile OUT`` dumps cProfile stats of the
-  sweep; with ``--jobs N`` the workers profile themselves and the stats
-  are merged)
+  sweep, which then runs inline)
 - ``stats`` — inspect the observability outputs: summarize an exported
   trace (``--trace FILE``) and render/diff per-scenario engine counters
   from result stores (``--store FILE [--against FILE]``)
@@ -40,9 +39,11 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
+import tempfile
 import time
 
 from repro.casestudy import experiments
@@ -62,6 +63,31 @@ FIGURE_RUNNERS = {
 }
 
 
+def _checked(convert, accept, requirement: str):
+    """An argparse ``type=``: convert a flag's text, then range-check it.
+
+    A rejected value is a usage error that names the flag (exit 2), raised
+    while the command line is parsed, so no scenario is ever built from it.
+    """
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value: 'x'"
+    return parse
+
+
+_POSITIVE = _checked(int, lambda value: value >= 1, ">= 1")
+_COUNT = _checked(int, lambda value: value >= 0, ">= 0")
+# A NaN deadline would make the supervisor kill healthy workers, and a
+# negative one would fail every scenario.
+_SECONDS = _checked(float, lambda value: math.isfinite(value) and value > 0,
+                    "a finite number of seconds > 0")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -74,14 +100,16 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="only show names containing this substring")
     listing.add_argument("--policies", action="store_true",
                          help="also list the cache replacement policy axis")
+    listing.set_defaults(run=_command_list)
 
     figure = commands.add_parser("figure", help="regenerate paper figures")
     figure.add_argument("names", nargs="*", help="figure names (see list)")
     figure.add_argument("--all", action="store_true", help="run every figure")
-    figure.add_argument("--entry-bytes", type=int, default=None,
+    figure.add_argument("--entry-bytes", type=_POSITIVE, default=None,
                         help="table entry size for 14c/14d (default: paper's 384)")
-    figure.add_argument("--nlimbs", type=int, default=None,
+    figure.add_argument("--nlimbs", type=_POSITIVE, default=None,
                         help="limb count for 14b (default: 24)")
+    figure.set_defaults(run=_command_figure)
 
     sweep = commands.add_parser("sweep", aliases=["run"],
                                 help="run scenarios via SweepRunner")
@@ -90,13 +118,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--select", default=None, metavar="SUBSTR",
                        help="run every catalogue scenario whose name "
                             "contains this substring")
-    sweep.add_argument("--jobs", type=int, default=None,
+    sweep.add_argument("--jobs", type=_POSITIVE, default=None,
                        help="worker processes (default 1: inline; "
-                            "--trace defaults to 2 so the trace shows the "
-                            "worker timeline)")
+                            "--trace without --profile defaults to 2 so "
+                            "the trace shows the worker timeline)")
     sweep.add_argument("--store", default=None,
                        help="JSON result store path (read/write cache)")
-    sweep.add_argument("--entry-bytes", type=int, default=32,
+    sweep.add_argument("--entry-bytes", type=_POSITIVE, default=32,
                        help="entry size of the catalogue's §8.4 scenarios")
     sweep.add_argument("--no-cache", action="store_true",
                        help="recompute even if cached")
@@ -105,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "fingerprints in --store (requires --store; "
                             "incompatible with --no-cache); reports how "
                             "many scenarios are already complete")
-    sweep.add_argument("--timeout", type=float, default=None,
+    sweep.add_argument("--timeout", type=_SECONDS, default=None,
                        metavar="SECONDS",
                        help="per-scenario deadline: sets REPRO_DEADLINE_S "
                             "so the engine's resource guard (and pool "
@@ -113,30 +141,27 @@ def _build_parser() -> argparse.ArgumentParser:
                             "status=timeout results; the pool supervisor "
                             "additionally kills workers that make no "
                             "progress for ~2x this budget")
-    sweep.add_argument("--max-retries", type=int, default=2, metavar="N",
+    sweep.add_argument("--max-retries", type=_COUNT, default=2, metavar="N",
                        help="times a scenario that crashed or hung its "
                             "worker is retried (with backoff) "
                             "before being quarantined as a failed result "
                             "(default 2)")
-    sweep.add_argument("--no-specialize", action="store_true",
-                       help="disable the compile tier (block-specialized "
-                            "abstract transformers): sets REPRO_NO_SPECIALIZE "
-                            "so pool workers inherit it; results are "
-                            "bit-identical either way, only slower")
     sweep.add_argument("--profile", default=None, metavar="OUT",
                        help="profile the sweep with cProfile and dump the "
                             "stats to this file (inspect with pstats or "
                             "snakeviz); a top-function summary and the "
                             "per-scenario specialization hit rates are "
-                            "printed; with --jobs > 1 each pool worker "
-                            "profiles itself and the stats are merged")
+                            "printed; the sweep runs inline, so --jobs > 1 "
+                            "is a usage error")
     sweep.add_argument("--trace", default=None, metavar="OUT",
                        help="record phase spans and write a Chrome "
                             "trace_event JSON file (load in ui.perfetto.dev "
                             "or chrome://tracing); sets REPRO_TRACE so pool "
-                            "workers trace too, and defaults --jobs to 2 so "
-                            "the trace shows the worker timeline; results "
-                            "are bit-identical with tracing on or off")
+                            "workers trace too, and without --profile "
+                            "defaults --jobs to 2 so the trace shows the "
+                            "worker timeline; results are bit-identical "
+                            "with tracing on or off")
+    sweep.set_defaults(run=_command_sweep)
 
     stats = commands.add_parser(
         "stats",
@@ -150,8 +175,9 @@ def _build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--against", default=None, metavar="FILE",
                        help="second result store: show per-scenario "
                             "counter deltas against --store")
-    stats.add_argument("--top", type=int, default=15,
+    stats.add_argument("--top", type=_POSITIVE, default=15,
                        help="rows per table (default 15)")
+    stats.set_defaults(run=_command_stats)
 
     transform = commands.add_parser(
         "transform", help="apply countermeasure passes and compare leakage")
@@ -160,11 +186,12 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="comma-separated pass names: preload, "
                                 "scatter-gather, align-tables, "
                                 "balance-branches")
-    transform.add_argument("--entry-bytes", type=int, default=32,
+    transform.add_argument("--entry-bytes", type=_POSITIVE, default=32,
                            help="entry size of the catalogue's §8.4 scenarios")
     transform.add_argument("--validate", action="store_true",
                            help="replay original vs. transformed on the VM "
                                 "and check semantic equivalence")
+    transform.set_defaults(run=_command_transform)
     return parser
 
 
@@ -207,7 +234,7 @@ def _command_figure(args) -> int:
     if unknown:
         print(f"unknown figures: {', '.join(unknown)}", file=sys.stderr)
         return 2
-    failures = 0
+    deviations = failures = 0
     for name in names:
         runner = FIGURE_RUNNERS[name]
         kwargs = {}
@@ -216,13 +243,19 @@ def _command_figure(args) -> int:
         if args.nlimbs is not None and name == "figure14b":
             kwargs["nlimbs"] = args.nlimbs
         started = time.perf_counter()
-        result = runner(**kwargs)
+        try:
+            result = runner(**kwargs)
+        except experiments.ScenarioFailed as failure:
+            print(f"{name}: FAILED {failure}\n")
+            failures += 1
+            continue
         elapsed = time.perf_counter() - started
         print(result.format())
         status = "matches the paper" if result.all_match else "DEVIATES"
         print(f"  -> {status} ({elapsed:.2f}s)\n")
-        failures += 0 if result.all_match else 1
-    return 1 if failures else 0
+        deviations += 0 if result.all_match else 1
+    # A failed scenario is a degraded run, as for `sweep`.
+    return 3 if failures else 1 if deviations else 0
 
 
 def _render_sweep_result(result: SweepResult) -> str:
@@ -230,10 +263,7 @@ def _render_sweep_result(result: SweepResult) -> str:
     applied = f" transforms={'+'.join(result.transforms)}" if result.transforms else ""
     lines = [f"== {result.scenario} [{result.kind}]{applied} ({source})"]
     if not result.ok:
-        error = result.metrics.get("error") or {}
-        detail = ": ".join(part for part in (error.get("type"),
-                                             error.get("message")) if part)
-        lines.append(f"  FAILED [{result.status}] {detail}".rstrip())
+        lines.append(f"  FAILED {result.failure()}")
         for warning in result.warnings:
             lines.append(f"  note: {warning}")
         return "\n".join(lines)
@@ -301,6 +331,50 @@ def _package_self_time(stats) -> str:
     return "self time by package (cProfile tottime):\n" + "\n".join(lines)
 
 
+@contextlib.contextmanager
+def _sweep_environment(args):
+    """Set the sweep's environment variables for one run, then restore them.
+
+    Variables rather than arguments, so fork/spawn pool workers and the
+    inline path see the same run: ``REPRO_TRACE`` (workers come up
+    tracing), ``REPRO_DEADLINE_S`` (one per-scenario deadline) and, for a
+    chaos run (``REPRO_FAULT`` set), a ``REPRO_FAULT_DIR`` that shares the
+    fault firing budget across worker generations, so a replacement
+    worker does not re-fire the fault and the retry ladder converges.  A
+    tracer the sweep started is stopped on the way out.
+    """
+    from repro.obs import trace as obs_trace
+    from repro.sweep import faults
+    from repro.sweep.runner import DEADLINE_ENV
+
+    chaos = (os.environ.get(faults.FAULT_ENV)
+             and not os.environ.get(faults.FAULT_DIR_ENV))
+    with (tempfile.TemporaryDirectory(prefix="repro-faults-") if chaos
+          else contextlib.nullcontext()) as fault_dir:
+        planted = {}
+        if args.trace:
+            planted[obs_trace.TRACE_ENV] = "1"
+        if args.timeout is not None:
+            planted[DEADLINE_ENV] = str(args.timeout)
+        if fault_dir is not None:
+            planted[faults.FAULT_DIR_ENV] = fault_dir
+        saved = {name: os.environ.get(name) for name in planted}
+        os.environ.update(planted)
+        started_tracer = bool(args.trace) and not obs_trace.enabled()
+        if started_tracer:
+            obs_trace.start()
+        try:
+            yield
+        finally:
+            if started_tracer:
+                obs_trace.stop()
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
+
+
 def _command_sweep(args) -> int:
     if args.resume and not args.store:
         print("--resume needs --store (the store holds the finished "
@@ -310,35 +384,15 @@ def _command_sweep(args) -> int:
         print("--resume and --no-cache contradict each other",
               file=sys.stderr)
         return 2
-    # Checked before anything runs: a NaN deadline makes the supervisor
-    # kill healthy workers, and a negative one fails every scenario.
-    if args.timeout is not None and not (math.isfinite(args.timeout)
-                                         and args.timeout > 0):
-        print(f"--timeout must be a finite number of seconds > 0, "
-              f"got {args.timeout}", file=sys.stderr)
-        return 2
-    if args.jobs is not None and args.jobs < 1:
-        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    if args.max_retries < 0:
-        print(f"--max-retries must be >= 0, got {args.max_retries}",
+    if args.profile and (args.jobs or 1) > 1:
+        print(f"--profile profiles an inline sweep; drop --jobs {args.jobs}",
               file=sys.stderr)
         return 2
-    if args.no_specialize:
-        # The env var, so fork/spawn pool workers and every library layer
-        # observe the same mode.
-        from repro.analysis.specialize import NO_SPECIALIZE_ENV
-        os.environ[NO_SPECIALIZE_ENV] = "1"
-    if args.trace:
-        from repro.obs import trace as obs_trace
-        # The env var (like the kill switch above) so fork/spawn pool
-        # workers come up tracing; start() covers this parent process.
-        os.environ[obs_trace.TRACE_ENV] = "1"
-        obs_trace.start()
     # A trace of an inline sweep shows one process and answers few
     # questions, so --trace defaults to the smallest pool that shows the
-    # parent/worker split.  An explicit --jobs (even --jobs 1) wins.
-    jobs = args.jobs if args.jobs is not None else (2 if args.trace else 1)
+    # parent/worker split; --profile keeps the analysis in this process.
+    # An explicit --jobs (even --jobs 1) wins.
+    jobs = args.jobs or (2 if args.trace and not args.profile else 1)
     catalogue = all_scenarios(entry_bytes=args.entry_bytes)
     if args.all:
         selected: list[Scenario] = list(catalogue.values())
@@ -361,29 +415,11 @@ def _command_sweep(args) -> int:
             return 2
         selected = [catalogue[name] for name in args.names]
 
-    if args.timeout is not None:
-        # The env var (like the mode switches above) so pool workers and
-        # the inline path share one deadline; the engine's resource guard
-        # turns breaches into status=timeout results.
-        from repro.sweep.runner import DEADLINE_ENV
-        os.environ[DEADLINE_ENV] = str(args.timeout)
     # A hung scenario never trips the in-engine deadline (it isn't
     # stepping), so the pool supervisor gets a no-progress budget a bit
     # past twice the deadline: the guard aborts cleanly first, the
     # supervisor's kill is the backstop for true wedges.
     task_timeout = (args.timeout * 2 + 5) if args.timeout is not None else None
-
-    from repro.sweep import faults
-    fault_dir = None
-    if os.environ.get(faults.FAULT_ENV) and not os.environ.get(
-            faults.FAULT_DIR_ENV):
-        # A chaos run (REPRO_FAULT set) needs its firing budget shared
-        # across the processes of this sweep — otherwise every replacement
-        # worker re-fires the fault and the retry ladder never converges.
-        import tempfile
-        fault_dir = tempfile.mkdtemp(prefix="repro-faults-")
-        os.environ[faults.FAULT_DIR_ENV] = fault_dir
-
     runner = SweepRunner(processes=jobs, store=args.store,
                          use_cache=not args.no_cache,
                          max_retries=args.max_retries,
@@ -393,90 +429,60 @@ def _command_sweep(args) -> int:
                        if scenario.fingerprint() in runner.store)
         print(f"resuming from {args.store}: {finished}/{len(selected)} "
               f"scenario(s) already complete")
-    profiler = None
-    profile_dir = None
-    if args.profile:
-        import cProfile
-        if jobs > 1:
-            # The parent's profiler only sees IPC and bookkeeping; have the
-            # pool workers profile themselves (supervisor._worker_main)
-            # and merge their dumps into the requested output below.
-            import tempfile
-            from repro.sweep.runner import PROFILE_DIR_ENV
-            profile_dir = tempfile.mkdtemp(prefix="repro-profile-")
-            os.environ[PROFILE_DIR_ENV] = profile_dir
-        profiler = cProfile.Profile()
-        profiler.enable()
-    started = time.perf_counter()
-    try:
-        results = runner.run(selected)
-    except KeyboardInterrupt:
-        # Workers are already terminated (the supervisor's shutdown path)
-        # and every completed result is already checkpointed in the store.
+    with _sweep_environment(args):
+        profiler = None
+        if args.profile:
+            import cProfile
+            profiler = cProfile.Profile()
+        started = time.perf_counter()
+        try:
+            with profiler or contextlib.nullcontext():
+                results = runner.run(selected)
+        except KeyboardInterrupt:
+            # Workers are already terminated (the supervisor's shutdown
+            # path) and every completed result is already checkpointed.
+            saved = len(runner.store) if runner.store is not None else 0
+            print(f"\ninterrupted; {saved} completed result(s) saved"
+                  + (f" in {args.store} (rerun with --resume)" if args.store
+                     else ""),
+                  file=sys.stderr)
+            return 130
+        elapsed = time.perf_counter() - started
         if profiler is not None:
-            profiler.disable()
-        _cleanup_fault_dir(fault_dir)
-        saved = len(runner.store) if runner.store is not None else 0
-        print(f"\ninterrupted; {saved} completed result(s) saved"
-              + (f" in {args.store} (rerun with --resume)" if args.store
-                 else ""),
-              file=sys.stderr)
-        return 130
-    elapsed = time.perf_counter() - started
-    _cleanup_fault_dir(fault_dir)
-    if profiler is not None:
-        import pstats
-        profiler.disable()
-        _atomic_dump_stats(profiler, args.profile)
-        merged = 0
-        if profile_dir is not None:
-            import glob
-            import shutil
-            from repro.sweep.runner import PROFILE_DIR_ENV
-            os.environ.pop(PROFILE_DIR_ENV, None)
-            worker_dumps = sorted(
-                glob.glob(os.path.join(profile_dir, "worker-*.pstats")))
-            if worker_dumps:
-                combined = pstats.Stats(args.profile)
-                for dump in worker_dumps:
-                    combined.add(dump)
-                _atomic_dump_stats(combined, args.profile)
-                merged = len(worker_dumps)
-            shutil.rmtree(profile_dir, ignore_errors=True)
-        stats = pstats.Stats(args.profile).sort_stats("cumulative")
-        suffix = f" (merged {merged} worker profiles)" if merged else ""
-        print(f"profile written to {args.profile}{suffix}; "
-              f"hottest functions:")
-        stats.print_stats(12)
-        print(_package_self_time(stats))
-        print()
-        specialization = _specialization_profile(results)
-        if specialization:
-            print(specialization)
+            import pstats
+            _atomic_dump_stats(profiler, args.profile)
+            stats = pstats.Stats(profiler).sort_stats("cumulative")
+            print(f"profile written to {args.profile}; hottest functions:")
+            stats.print_stats(12)
+            print(_package_self_time(stats))
             print()
-    for result in results:
-        print(_render_sweep_result(result))
-        print()
-    hits = sum(1 for result in results if result.cached)
-    failed = [result for result in results if not result.ok]
-    print(f"{len(results)} scenarios in {elapsed:.2f}s "
-          f"({hits} cached, jobs={jobs})")
-    pool = runner.last_pool
-    if pool is not None and (pool.retries or pool.worker_deaths
-                             or pool.quarantined):
-        print(f"pool supervision: {pool.worker_deaths} worker death(s), "
-              f"{pool.retries} retrie(s), {pool.quarantined} quarantined")
-    if args.store:
-        print(f"results stored in {args.store}")
-    if args.trace:
-        from repro.obs import trace as obs_trace
-        payload = obs_trace.write(args.trace)
-        spans = sum(1 for event in payload["traceEvents"]
-                    if event.get("ph") == "X")
-        pids = {event["pid"] for event in payload["traceEvents"]}
-        print(f"trace written to {args.trace} "
-              f"({spans} spans across {len(pids)} processes); "
-              f"load it in ui.perfetto.dev")
+            specialization = _specialization_profile(results)
+            if specialization:
+                print(specialization)
+                print()
+        for result in results:
+            print(_render_sweep_result(result))
+            print()
+        hits = sum(1 for result in results if result.cached)
+        failed = [result for result in results if not result.ok]
+        print(f"{len(results)} scenarios in {elapsed:.2f}s "
+              f"({hits} cached, jobs={jobs})")
+        pool = runner.last_pool
+        if pool is not None and (pool.retries or pool.worker_deaths
+                                 or pool.quarantined):
+            print(f"pool supervision: {pool.worker_deaths} worker death(s), "
+                  f"{pool.retries} retrie(s), {pool.quarantined} quarantined")
+        if args.store:
+            print(f"results stored in {args.store}")
+        if args.trace:
+            from repro.obs import trace as obs_trace
+            payload = obs_trace.write(args.trace)
+            spans = sum(1 for event in payload["traceEvents"]
+                        if event.get("ph") == "X")
+            pids = {event["pid"] for event in payload["traceEvents"]}
+            print(f"trace written to {args.trace} "
+                  f"({spans} spans across {len(pids)} processes); "
+                  f"load it in ui.perfetto.dev")
     if failed:
         # Degraded sweep: some scenarios timed out, errored, or were
         # quarantined.  Everything that succeeded is reported and stored;
@@ -484,26 +490,13 @@ def _command_sweep(args) -> int:
         # degraded" (3) from clean (0) and interrupted (130).
         print(f"\n{len(failed)} scenario(s) failed:", file=sys.stderr)
         for result in failed:
-            error = result.metrics.get("error") or {}
-            print(f"  {result.scenario}: [{result.status}] "
-                  f"{error.get('type', '')}: {error.get('message', '')}",
-                  file=sys.stderr)
+            print(f"  {result.scenario}: {result.failure()}", file=sys.stderr)
         return 3
     return 0
 
 
-def _cleanup_fault_dir(fault_dir: str | None) -> None:
-    """Remove an auto-provisioned fault-marker directory and its env var."""
-    if fault_dir is None:
-        return
-    import shutil
-    from repro.sweep import faults
-    os.environ.pop(faults.FAULT_DIR_ENV, None)
-    shutil.rmtree(fault_dir, ignore_errors=True)
-
-
 def _atomic_dump_stats(profile, path: str) -> None:
-    """Dump cProfile/pstats data atomically (tempfile + ``os.replace``)."""
+    """Dump cProfile data atomically (tempfile + ``os.replace``)."""
     temp = f"{path}.tmp-{os.getpid()}"
     try:
         profile.dump_stats(temp)
@@ -669,9 +662,8 @@ def _command_transform(args) -> int:
             # The runner degrades per-scenario failures into status
             # results; for this command an inapplicable pass is still a
             # user error, so surface the diagnostic and exit like one.
-            error = result.metrics.get("error") or {}
-            print(error.get("message") or f"{result.scenario} failed "
-                  f"({result.status})", file=sys.stderr)
+            print(f"{result.scenario}: FAILED {result.failure()}",
+                  file=sys.stderr)
             return 2
     print(f"== {base.name}  vs  {'+'.join(pass_names)}")
     header = f"{'cache/observer':<24}{'original':>16}{'transformed':>16}"
@@ -737,16 +729,11 @@ def _table_fills(target) -> dict[str, bytes]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return _command_list(args)
-    if args.command == "figure":
-        return _command_figure(args)
-    if args.command == "transform":
-        return _command_transform(args)
-    if args.command == "stats":
-        return _command_stats(args)
-    return _command_sweep(args)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as stop:  # usage errors (2) and --help (0) return
+        return stop.code
+    return args.run(args)
 
 
 if __name__ == "__main__":

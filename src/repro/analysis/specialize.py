@@ -71,7 +71,7 @@ __all__ = [
 WIDTH = 32
 
 # Ablation/rot-guard switch: any non-empty value disables the compile tier
-# process-wide (the CLI's --no-specialize sets it so pool workers inherit).
+# process-wide; pool workers inherit it with the rest of the environment.
 NO_SPECIALIZE_ENV = "REPRO_NO_SPECIALIZE"
 
 # Blocks shorter than this interpret: a one-instruction prefix saves nothing

@@ -208,17 +208,6 @@ class ConcreteValidator:
                 raise AnalysisError(f"unknown adversary model {model!r}")
         return collected
 
-    def adversary_views(self, lam: dict[str, int], cache_kind: str,
-                        model: str, cache_factory) -> set:
-        """Distinct trace-/time-adversary observations over all secrets.
-
-        ``cache_factory`` builds a fresh cache (of any replacement policy)
-        per execution; ``model`` selects the hit/miss-sequence view
-        (``"trace"``) or the total (hits, misses) view (``"time"``).
-        """
-        return self._adversary_views(
-            self._collect_traces(lam), cache_kind, model, cache_factory)
-
     # ------------------------------------------------------------------
     # Checking against a report
     # ------------------------------------------------------------------

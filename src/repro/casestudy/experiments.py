@@ -25,7 +25,7 @@ from repro.core.observers import AccessKind
 from repro.sweep import Scenario, SweepResult, default_runner
 
 __all__ = [
-    "FigureCell", "FigureResult", "run_scenario",
+    "FigureCell", "FigureResult", "ScenarioFailed", "run_scenario",
     "figure7a", "figure7b", "figure8",
     "figure14a", "figure14b", "figure14c", "figure14d",
     "cachebleed_bank_analysis", "figure15_effect",
@@ -34,9 +34,24 @@ __all__ = [
 I, D = AccessKind.INSTRUCTION, AccessKind.DATA
 
 
+class ScenarioFailed(RuntimeError):
+    """A figure's scenario ended without bounds (timeout, oom or error)."""
+
+    def __init__(self, result: SweepResult) -> None:
+        super().__init__(result.failure())
+        self.result = result
+
+
 def run_scenario(scenario: Scenario) -> SweepResult:
-    """Run one scenario through the shared sweep runner (cached)."""
-    return default_runner().run_one(scenario)
+    """Run one scenario through the shared sweep runner (cached).
+
+    Raises :class:`ScenarioFailed` for a result that is not ``ok``: a
+    failed result carries no bounds for a figure table to read.
+    """
+    result = default_runner().run_one(scenario)
+    if not result.ok:
+        raise ScenarioFailed(result)
+    return result
 
 
 @dataclass(frozen=True, slots=True)

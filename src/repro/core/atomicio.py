@@ -1,11 +1,11 @@
 """Atomic file writes: tempfile in the target directory + ``os.replace``.
 
-Every artifact the repo persists — result stores, exported traces,
-merged profiles — goes through :func:`atomic_write_text` (or the
-JSON convenience wrapper), so a crash or kill mid-write can never leave a
-truncated file for a later run to half-load.  ``os.replace`` is atomic on
-POSIX when source and destination share a filesystem, which writing the
-tempfile *next to* the destination guarantees.
+Every artifact the repo persists — result stores and exported traces —
+goes through :func:`atomic_write_text` (or the JSON convenience wrapper),
+so a crash or kill mid-write can never leave a truncated file for a later
+run to half-load.  ``os.replace`` is atomic on POSIX when source and
+destination share a filesystem, which writing the tempfile *next to* the
+destination guarantees.
 """
 
 from __future__ import annotations

@@ -238,12 +238,6 @@ class ValueSetOps:
     def memo_evictions(self) -> int:
         return self._memo.evictions
 
-    @property
-    def memo_hit_rate(self) -> float:
-        """Fraction of lifted operations answered from the memo."""
-        total = self.memo_hits + self.memo_misses
-        return self.memo_hits / total if total else 0.0
-
     def _lift_binary(
         self,
         op_name: str,

@@ -126,10 +126,6 @@ def _windowed(base: MPI, exponent: MPI, modulus: MPI, stats: ModExpStats,
     return result
 
 
-def _entry_bytes(modulus: MPI) -> int:
-    return modulus.nlimbs * 4
-
-
 def _retrieve_direct(powers: list[MPI], window: int, stats: ModExpStats) -> MPI:
     """libgcrypt 1.6.1: pointer into the table (the Figure 10 lookup)."""
     stats.lookups += 1

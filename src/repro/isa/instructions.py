@@ -179,16 +179,6 @@ class Instruction:
     encoded_size: int | None = None
     comment: str = field(default="", compare=False)
 
-    def with_location(self, addr: int, size: int) -> "Instruction":
-        """Return a copy pinned to an address and encoded size."""
-        return Instruction(
-            mnemonic=self.mnemonic,
-            operands=self.operands,
-            addr=addr,
-            encoded_size=size,
-            comment=self.comment,
-        )
-
     def render(self) -> str:
         """Human-readable assembly text."""
 

@@ -51,13 +51,3 @@ class Flag:
 
 
 FLAG_NAMES = (Flag.ZF, Flag.CF, Flag.SF, Flag.OF)
-
-
-def register_name(reg: int) -> str:
-    """Name of a 32-bit register id."""
-    return REGISTER_NAMES[reg]
-
-
-def parse_register(name: str) -> int:
-    """Parse a 32-bit register name, raising ``KeyError`` for unknown names."""
-    return REGISTER_IDS[name.lower()]

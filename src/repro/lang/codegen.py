@@ -218,9 +218,6 @@ class _FunctionCodegen:
             return
         self.emit("mov", target, Reg(register))
 
-    def _is_reg(self, operand) -> bool:
-        return isinstance(operand, int) and self.slots[operand].kind == "reg"
-
     @property
     def _edx_allocated(self) -> bool:
         return EDX in self.used_callee_saved

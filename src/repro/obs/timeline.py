@@ -34,16 +34,14 @@ import time
 from repro.obs import trace
 
 __all__ = [
-    "DEFAULT_INTERVAL_STEPS", "GCPauses", "TIMELINE_STEPS_ENV",
-    "TimelineSampler", "active", "begin", "current_rss_bytes", "end",
-    "peak_rss_bytes",
+    "DEFAULT_INTERVAL_STEPS", "GCPauses", "TimelineSampler", "active",
+    "begin", "current_rss_bytes", "end", "peak_rss_bytes",
 ]
 
 # Sample cadence in abstract steps; dense enough for the second-scale
 # figure analyses (~100 samples for figure14d) while keeping the per-pop
 # engine check to one integer comparison.
 DEFAULT_INTERVAL_STEPS = 50_000
-TIMELINE_STEPS_ENV = "REPRO_TIMELINE_STEPS"
 
 
 def peak_rss_bytes() -> int:
@@ -161,17 +159,13 @@ def begin(label: str) -> TimelineSampler | None:
     Timeline sampling rides the tracing switch: it exists to explain traced
     runs, and keeping one switch means pool workers need only inherit
     ``REPRO_TRACE``.  Returns None (and installs nothing) when tracing is
-    off.  ``REPRO_TIMELINE_STEPS`` overrides the sampling cadence.
+    off.  The cadence is :data:`DEFAULT_INTERVAL_STEPS`, read at call time.
     """
     global _ACTIVE
     if not trace.enabled():
         _ACTIVE = None
         return None
-    interval = DEFAULT_INTERVAL_STEPS
-    override = os.environ.get(TIMELINE_STEPS_ENV)
-    if override and override.isdigit():
-        interval = int(override)
-    _ACTIVE = TimelineSampler(label, interval)
+    _ACTIVE = TimelineSampler(label, DEFAULT_INTERVAL_STEPS)
     return _ACTIVE
 
 

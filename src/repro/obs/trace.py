@@ -33,7 +33,6 @@ pool workers.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time

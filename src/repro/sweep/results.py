@@ -114,6 +114,13 @@ class SweepResult:
     def ok(self) -> bool:
         return self.status == "ok"
 
+    def failure(self) -> str:
+        """``[status] Type: message``: how a failed result is reported."""
+        error = self.metrics.get("error") or {}
+        detail = ": ".join(part for part in (error.get("type"),
+                                             error.get("message")) if part)
+        return f"[{self.status}] {detail}".rstrip()
+
     #: Metrics keys that carry machine facts (RSS, GC pauses) rather than
     #: deterministic analysis counters; excluded from the payload.
     NONDETERMINISTIC_METRICS = ("environment",)

@@ -121,7 +121,7 @@ def _engine_metrics(engine_result) -> dict:
     hash-consing layer; `AnalysisContext` clears the tables per analysis, so
     they are a pure function of the scenario (pool and inline runs agree).
     The ``spec_*``/``interp_steps`` counters additionally depend on the
-    specialization mode (``--no-specialize`` zeroes ``spec_*``), and
+    specialization mode (``REPRO_NO_SPECIALIZE`` zeroes ``spec_*``), and
     ``cache_evictions`` on process history — it stays 0 until a process has
     compiled more distinct programs than the compile-tier cache cap.
     """
@@ -257,13 +257,6 @@ def _execute_scenario_inner(scenario: Scenario, analyze) -> SweepResult:
 # ----------------------------------------------------------------------
 # Worker wire format
 # ----------------------------------------------------------------------
-
-# Directory for in-worker cProfile dumps (set by `sweep --profile` when the
-# pool engages): each worker's profile lands as worker-<pid>.pstats when it
-# stops, and the CLI merges them with pstats.Stats.add.  An env var because
-# pool workers cannot share the parent's profiler object.
-PROFILE_DIR_ENV = "REPRO_PROFILE_DIR"
-
 
 def _pool_worker_safe(scenario: Scenario) -> dict:
     """Worker entry point: run one scenario, return its wire payload.

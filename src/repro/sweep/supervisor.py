@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -61,20 +60,11 @@ def _worker_main(conn) -> None:
     """Worker process: recv a scenario, send back its payload, repeat.
 
     Imports the runner lazily (it imports this module at its top level)
-    and warm-starts exactly like the old pool initializer.  With
-    ``REPRO_PROFILE_DIR`` set the worker keeps one cProfile, enabled
-    around each scenario, and dumps it as ``worker-<pid>.pstats`` when it
-    stops, for the CLI's ``--profile`` merge.
+    and warm-starts exactly like the old pool initializer.
     """
     from repro.sweep import runner as _runner
 
     _runner._warm_worker()
-    profile_dir = os.environ.get(_runner.PROFILE_DIR_ENV)
-    profiler = None
-    if profile_dir:
-        import cProfile
-
-        profiler = cProfile.Profile()
     while True:
         try:
             message = conn.recv()
@@ -83,15 +73,7 @@ def _worker_main(conn) -> None:
         if message[0] == "stop":
             break
         _, task_id, scenario = message
-        if profiler is not None:
-            profiler.enable()
-        payload = _runner._pool_worker_safe(scenario)
-        if profiler is not None:
-            profiler.disable()
-        conn.send(("result", task_id, payload))
-    if profiler is not None:
-        profiler.dump_stats(
-            os.path.join(profile_dir, f"worker-{os.getpid()}.pstats"))
+        conn.send(("result", task_id, _runner._pool_worker_safe(scenario)))
     conn.close()
 
 
@@ -341,7 +323,7 @@ class SupervisedPool:
     def _shutdown(self) -> None:
         """Stop every worker: idle ones politely, busy ones terminally.
 
-        An idle worker gets ``stop`` so it can dump its profile and exit;
+        An idle worker gets ``stop`` so it can exit cleanly;
         a worker still holding a scenario (an interrupted or failed run)
         is terminated.
         """

@@ -125,10 +125,12 @@ class ReplacementPolicy:
     """Strategy deciding which line of a set a miss evicts.
 
     A policy owns the *representation* of one set's state: ``new_set``
-    creates it, ``access`` performs one lookup/update on it, ``reset``
-    empties it in place (including any metadata such as PLRU tree bits),
-    and ``tags`` enumerates the resident tags.  The cache itself only does
-    geometry (set indexing and tag extraction).
+    creates it, ``lookup`` touches a resident tag, ``insert`` installs a
+    missing one (evicting when the set is full), ``invalidate`` drops one,
+    ``reset`` empties the set in place (including any metadata such as
+    PLRU tree bits), and ``tags`` enumerates the resident tags.  One
+    access is ``lookup``, then ``insert`` on a miss.  The cache itself
+    only does geometry (set indexing and tag extraction).
     """
 
     name = "?"
@@ -142,22 +144,16 @@ class ReplacementPolicy:
         """A fresh (empty) per-set state."""
         raise NotImplementedError
 
-    def access(self, state, tag: int) -> bool:
-        """Look up ``tag`` in one set; update state; return True on a hit."""
-        raise NotImplementedError
-
     def lookup(self, state, tag: int) -> bool:
-        """The hit half of :meth:`access`: touch ``tag`` if resident.
+        """The hit half of an access: touch ``tag`` if resident.
 
-        Together with :meth:`insert`, decomposes ``access`` —
-        ``lookup(s, t) or (insert(s, t) and False)`` is behaviorally
-        identical to ``access(s, t)`` for every policy (the hierarchy
-        relies on this to fill levels independently of the demand lookup).
+        Returns True on a hit.  Kept apart from :meth:`insert` so the
+        hierarchy can fill levels independently of the demand lookup.
         """
         raise NotImplementedError
 
     def insert(self, state, tag: int):
-        """The miss half of :meth:`access`: install ``tag``.
+        """The miss half of an access: install ``tag``.
 
         Returns the evicted tag when the set was full, else ``None``.
         """
@@ -191,16 +187,6 @@ class LRUPolicy(ReplacementPolicy):
 
     def new_set(self) -> list[int]:
         return []
-
-    def access(self, state: list[int], tag: int) -> bool:
-        if tag in state:
-            state.remove(tag)
-            state.append(tag)
-            return True
-        state.append(tag)
-        if len(state) > self.associativity:
-            state.pop(0)
-        return False
 
     def lookup(self, state: list[int], tag: int) -> bool:
         if tag in state:
@@ -238,14 +224,6 @@ class FIFOPolicy(ReplacementPolicy):
 
     def new_set(self) -> list[int]:
         return []
-
-    def access(self, state: list[int], tag: int) -> bool:
-        if tag in state:
-            return True
-        state.append(tag)
-        if len(state) > self.associativity:
-            state.pop(0)
-        return False
 
     def lookup(self, state: list[int], tag: int) -> bool:
         return tag in state
@@ -305,23 +283,6 @@ class TreePLRUPolicy(ReplacementPolicy):
         while node < internal:
             node = 2 * node + 1 + bits[node]
         return node - internal
-
-    def access(self, state: tuple[list, list[int]], tag: int) -> bool:
-        ways, bits = state
-        try:
-            way = ways.index(tag)
-        except ValueError:
-            way = None
-        if way is not None:
-            self._touch(bits, way)
-            return True
-        try:
-            way = ways.index(None)  # fill invalid ways first
-        except ValueError:
-            way = self._victim(bits)
-        ways[way] = tag
-        self._touch(bits, way)
-        return False
 
     def lookup(self, state: tuple[list, list[int]], tag: int) -> bool:
         ways, bits = state
@@ -405,7 +366,6 @@ class SetAssociativeCache:
         self._set_mask = self.config.num_sets - 1
         self._bank_bytes = self.config.bank_bytes
         self._line_mask = self.config.line_bytes - 1
-        self._policy_access = self.policy.access
         self._policy_lookup = self.policy.lookup
         self._policy_insert = self.policy.insert
 
@@ -413,15 +373,8 @@ class SetAssociativeCache:
     def policy_name(self) -> str:
         return self.policy.name
 
-    def _locate(self, addr: int) -> tuple[int, int]:
-        block = addr >> self.config.offset_bits
-        set_index = block & (self.config.num_sets - 1)
-        tag = block >> self.config.set_bits
-        return set_index, tag
-
     def access(self, addr: int) -> bool:
         """Access one address; returns True on hit and updates policy state."""
-        # _locate inlined: this runs once per simulated memory access.
         block = addr >> self._offset_bits
         state = self._sets[block & self._set_mask]
         tag = block >> self._set_bits

@@ -68,10 +68,6 @@ class FlatMemory:
         for offset in range(size):
             self.write_byte(addr + offset, (value >> (8 * offset)) & 0xFF)
 
-    def read_block(self, addr: int, size: int) -> bytes:
-        """Read a contiguous range as bytes."""
-        return bytes(self.read_byte(addr + offset) for offset in range(size))
-
     def write_block(self, addr: int, payload: bytes) -> None:
         """Write a contiguous byte string."""
         for offset, value in enumerate(payload):

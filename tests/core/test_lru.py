@@ -1,7 +1,5 @@
 """LRUCache: the shared bounded cache of the compile tier."""
 
-import pytest
-
 from repro.core.lru import DEFAULT_CACHE_CAP, LRUCache
 
 

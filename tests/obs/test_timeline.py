@@ -10,7 +10,6 @@ from repro.obs import timeline, trace
 @pytest.fixture(autouse=True)
 def _clean(monkeypatch):
     monkeypatch.delenv(trace.TRACE_ENV, raising=False)
-    monkeypatch.delenv(timeline.TIMELINE_STEPS_ENV, raising=False)
     trace.stop()
     timeline.end()
     yield
@@ -70,12 +69,6 @@ class TestSampler:
         assert len(counters) == 2
         assert counters[0]["name"] == "timeline.label"
 
-    def test_cadence_env_override(self, monkeypatch):
-        monkeypatch.setenv(timeline.TIMELINE_STEPS_ENV, "123")
-        trace.start()
-        sampler = timeline.begin("label")
-        assert sampler.interval == 123
-
     def test_end_pops_the_sampler(self):
         trace.start()
         sampler = timeline.begin("label")
@@ -92,7 +85,7 @@ class TestEngineIntegration:
         from repro.casestudy.scenarios import sqm_scenario
         from repro.sweep.runner import execute_scenario
 
-        monkeypatch.setenv(timeline.TIMELINE_STEPS_ENV, "50")
+        monkeypatch.setattr(timeline, "DEFAULT_INTERVAL_STEPS", 50)
         trace.start()
         result = execute_scenario(sqm_scenario(opt_level=2, line_bytes=64))
         trace.drain()

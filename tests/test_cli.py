@@ -10,6 +10,15 @@ import pytest
 
 from repro.__main__ import main
 
+_TWO_SCENARIOS = ["sweep", "sqm-O2-64B", "lookup-O2-64B"]
+
+
+def _usage_error_id(argv: list[str]) -> str:
+    """``--flag=value`` for the two-scenario sweep cases, else all of argv."""
+    if argv[:3] == _TWO_SCENARIOS:
+        argv = argv[3:]
+    return "=".join(argv)
+
 
 class TestList:
     def test_lists_policy_grid(self, capsys):
@@ -74,6 +83,23 @@ class TestTransform:
     def test_already_transformed_rejected(self, capsys):
         assert main(["transform", "lookup-O2-64B-hardened",
                      "--passes", "preload"]) == 2
+
+
+class TestFigure:
+    def test_failed_scenario_is_reported_not_raised(self, monkeypatch,
+                                                     capsys):
+        """A figure whose scenario times out prints one FAILED line, the
+        remaining figures still run, and the exit code is 3."""
+        from repro.analysis.engine import GUARD_STEPS_ENV
+        from repro.sweep import runner
+        from repro.sweep.runner import DEADLINE_ENV
+        monkeypatch.setattr(runner, "_DEFAULT_RUNNER", None)  # cold cache
+        monkeypatch.setenv(GUARD_STEPS_ENV, "5")
+        monkeypatch.setenv(DEADLINE_ENV, "0.000001")
+        assert main(["figure", "figure14a", "figure7a"]) == 3
+        out = capsys.readouterr().out
+        assert "figure14a: FAILED [timeout] ResourceLimitError: " in out
+        assert "figure7a: FAILED [timeout]" in out
 
 
 class TestSweep:
@@ -177,20 +203,6 @@ class TestSweepTrace:
         assert code == 0
         assert "kernel-scatter_102f-16B" in capsys.readouterr().out
 
-    def test_parallel_profile_merges_worker_stats(self, tmp_path, capsys):
-        profile_path = tmp_path / "sweep.prof"
-        code = main(["sweep", "--entry-bytes", "16", "--no-cache",
-                     "--jobs", "2", "gather-16B", "gather-16B-plru",
-                     "--profile", str(profile_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "merged 2 worker profiles" in out
-        import pstats
-        stats = pstats.Stats(str(profile_path))
-        # The analysis ran inside the workers; the merged profile must
-        # contain analyzer frames, which the parent alone never executes.
-        assert any("execute_scenario" in func[2] for func in stats.stats)
-
 
 class TestStats:
     """`python -m repro stats`: trace summaries and counter diffs."""
@@ -270,13 +282,8 @@ class TestSweepRobustness:
 
     def test_degraded_sweep_exits_3_and_lists_failures(
             self, monkeypatch, tmp_path, capsys):
-        # ``--timeout`` plants DEADLINE_ENV in os.environ for pool workers
-        # to inherit; monkeypatch only rolls back its own writes, so seed
-        # the key through it to get teardown back to the original state.
         from repro.analysis.engine import GUARD_STEPS_ENV
-        from repro.sweep.runner import DEADLINE_ENV
         monkeypatch.setenv(GUARD_STEPS_ENV, "10")
-        monkeypatch.setenv(DEADLINE_ENV, "placeholder")
         assert main(["sweep", "sqm-O2-64B", "--jobs", "1",
                      "--timeout", "0.000001",
                      "--store", str(tmp_path / "s.json")]) == 3
@@ -287,27 +294,70 @@ class TestSweepRobustness:
         assert json.loads(
             (tmp_path / "s.json").read_text())["results"] == {}
 
-    @pytest.mark.parametrize("flags", [
-        ["--timeout", "nan"], ["--timeout", "inf"], ["--timeout", "-1"],
-        ["--timeout", "0"], ["--jobs", "0"], ["--jobs", "-2"],
-        ["--max-retries", "-1"],
-    ], ids="=".join)
-    def test_out_of_range_flag_is_a_usage_error(self, flags, monkeypatch,
-                                                capsys):
-        from repro.sweep.runner import DEADLINE_ENV
-        # Seeded so teardown undoes a --timeout that reached os.environ.
-        monkeypatch.setenv(DEADLINE_ENV, "placeholder")
-        assert main(["sweep", "sqm-O2-64B", "lookup-O2-64B", *flags]) == 2
+    @pytest.mark.parametrize("argv", [
+        [*_TWO_SCENARIOS, "--timeout", "nan"],
+        [*_TWO_SCENARIOS, "--timeout", "inf"],
+        [*_TWO_SCENARIOS, "--timeout", "-1"],
+        [*_TWO_SCENARIOS, "--timeout", "0"],
+        [*_TWO_SCENARIOS, "--jobs", "0"],
+        [*_TWO_SCENARIOS, "--jobs", "-2"],
+        [*_TWO_SCENARIOS, "--max-retries", "-1"],
+        ["figure", "figure14b", "--nlimbs", "0"],
+        ["figure", "figure14b", "--nlimbs", "-1"],
+        ["figure", "figure14c", "--entry-bytes", "0"],
+        ["sweep", "--select", "gather", "--entry-bytes", "-4"],
+        ["transform", "sqm-O2-64B", "--passes", "balance-branches",
+         "--entry-bytes", "0"],
+        ["stats", "--trace", "F", "--top", "-1"],
+        ["stats", "--trace", "F", "--top", "0"],
+        ["sweep", "sqm-O2-64B", "--profile", "OUT", "--jobs", "2"],
+    ], ids=_usage_error_id)
+    def test_out_of_range_flag_is_a_usage_error(self, argv, monkeypatch,
+                                                tmp_path, capsys):
+        from repro.sweep import Scenario
+
+        def no_build(scenario):
+            raise AssertionError(f"a usage error built {scenario.name}")
+
+        monkeypatch.setattr(Scenario, "build_target", no_build)
+        monkeypatch.chdir(tmp_path)  # where a stray --profile OUT would land
+        assert main(argv) == 2
         captured = capsys.readouterr()
-        assert flags[0] in captured.err
+        flag = [word for word in argv if word.startswith("--")][-1]
+        assert flag in captured.err
         assert "==" not in captured.out  # no scenario ran
 
-    def test_timeout_flag_plants_the_worker_deadline_env(self, monkeypatch):
-        import os as _os
+    def test_timeout_reaches_pool_workers_and_is_restored(
+            self, monkeypatch, tmp_path, capsys):
+        """The workers inherit the deadline (both scenarios time out), and
+        main() leaves the environment and the tracer as it found them."""
+        from repro.analysis.engine import GUARD_STEPS_ENV
+        from repro.obs import trace
         from repro.sweep.runner import DEADLINE_ENV
-        monkeypatch.setenv(DEADLINE_ENV, "placeholder")
-        main(["sweep", "sqm-O2-64B", "--jobs", "1", "--timeout", "60"])
-        assert _os.environ.get(DEADLINE_ENV) == "60.0"
+        monkeypatch.setenv(GUARD_STEPS_ENV, "10")
+        monkeypatch.delenv(DEADLINE_ENV, raising=False)
+        monkeypatch.delenv(trace.TRACE_ENV, raising=False)
+        monkeypatch.setattr(trace, "_TRACER", None)  # off, restored after
+        assert main([*_TWO_SCENARIOS, "--jobs", "2", "--no-cache",
+                     "--timeout", "0.000001",
+                     "--trace", str(tmp_path / "trace.json")]) == 3
+        assert capsys.readouterr().out.count("FAILED [timeout]") == 2
+        assert DEADLINE_ENV not in os.environ
+        assert trace.TRACE_ENV not in os.environ
+        assert not trace.enabled()
+
+    def test_interrupted_sweep_restores_the_environment(self, monkeypatch,
+                                                        capsys):
+        from repro.sweep import SweepRunner
+        from repro.sweep.runner import DEADLINE_ENV
+
+        def interrupted(runner, scenarios):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(SweepRunner, "run", interrupted)
+        monkeypatch.delenv(DEADLINE_ENV, raising=False)
+        assert main(["sweep", "sqm-O2-64B", "--timeout", "60"]) == 130
+        assert DEADLINE_ENV not in os.environ
 
 
 _NUMPY_PROBE = """
