@@ -52,6 +52,10 @@ from repro.casestudy.targets import default_layouts
 from repro.sweep import Scenario, SweepResult, SweepRunner
 from repro.sweep.scenario import ScenarioError
 
+# The exit status when stdout's reader closed the pipe: 128 + SIGPIPE,
+# what a shell reports for a process killed by it.
+BROKEN_PIPE_EXIT = 141
+
 FIGURE_RUNNERS = {
     "figure7a": experiments.figure7a,
     "figure7b": experiments.figure7b,
@@ -332,22 +336,25 @@ def _package_self_time(stats) -> str:
 
 
 @contextlib.contextmanager
-def _sweep_environment(args):
+def _sweep_environment(args, jobs: int):
     """Set the sweep's environment variables for one run, then restore them.
 
     Variables rather than arguments, so fork/spawn pool workers and the
     inline path see the same run: ``REPRO_TRACE`` (workers come up
     tracing), ``REPRO_DEADLINE_S`` (one per-scenario deadline) and, for a
-    chaos run (``REPRO_FAULT`` set), a ``REPRO_FAULT_DIR`` that shares the
-    fault firing budget across worker generations, so a replacement
-    worker does not re-fire the fault and the retry ladder converges.  A
-    tracer the sweep started is stopped on the way out.
+    pooled chaos run (``REPRO_FAULT`` set, ``jobs`` > 1), a
+    ``REPRO_FAULT_DIR`` that shares the fault firing budget across worker
+    generations, so a replacement worker does not re-fire the fault and
+    the retry ladder converges.  An inline run counts firings in-process
+    and gets no directory: its injected crash ends the process through
+    ``os._exit``, which would skip the directory's cleanup.  A tracer the
+    sweep started is stopped on the way out.
     """
     from repro.obs import trace as obs_trace
     from repro.sweep import faults
     from repro.sweep.runner import DEADLINE_ENV
 
-    chaos = (os.environ.get(faults.FAULT_ENV)
+    chaos = (jobs > 1 and os.environ.get(faults.FAULT_ENV)
              and not os.environ.get(faults.FAULT_DIR_ENV))
     with (tempfile.TemporaryDirectory(prefix="repro-faults-") if chaos
           else contextlib.nullcontext()) as fault_dir:
@@ -429,7 +436,7 @@ def _command_sweep(args) -> int:
                        if scenario.fingerprint() in runner.store)
         print(f"resuming from {args.store}: {finished}/{len(selected)} "
               f"scenario(s) already complete")
-    with _sweep_environment(args):
+    with _sweep_environment(args, jobs):
         profiler = None
         if args.profile:
             import cProfile
@@ -733,7 +740,17 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as stop:  # usage errors (2) and --help (0) return
         return stop.code
-    return args.run(args)
+    try:
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (``| head``).  Point stdout at devnull so
+        # the interpreter's final flush of the dead pipe stays quiet too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE_EXIT
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from repro.core.bitvec import (
 )
 from repro.core import mask as mask_mod
 from repro.core.mask import Mask
-from repro.core.symbols import SymbolInfo, SymbolKind, SymbolTable
+from repro.core.symbols import SymbolTable
 
 __all__ = ["MaskedSymbol", "FlagBits", "MaskedOps", "concrete_op",
            "intern_clear", "intern_counters", "intern_size"]
@@ -280,10 +280,16 @@ class MaskedOps:
     def _fresh_result(
         self, op_name: str, x: MaskedSymbol, y: MaskedSymbol | None, mask: Mask
     ) -> MaskedSymbol:
-        """Allocate a fresh derived symbol with provenance for the result."""
-        ident = self.table.fresh(
-            kind=SymbolKind.DERIVED, provenance=(op_name, x, y)
-        )
+        """Allocate a fresh derived symbol with provenance for the result.
+
+        Appends to the table's provenance columns, the inlined form of
+        ``SymbolTable.fresh`` for an anonymous derived symbol.
+        """
+        table = self.table
+        ident = len(table._ops)
+        table._ops.append(op_name)
+        table._lefts.append(x)
+        table._rights.append(y)
         return MaskedSymbol.fresh_derived(ident, mask)
 
     @staticmethod
@@ -329,11 +335,13 @@ class MaskedOps:
         sign_shift = self._sign_shift
         is_and = op_name == "AND"
         # Fresh-symbol allocation inlined as in xor_bulk: identical
-        # allocation order and provenance, minus three call frames per
+        # allocation order and provenance, minus two call frames per
         # allocated pair.
         table = self.table
-        infos = table._infos
-        derived = SymbolKind.DERIVED
+        ops = table._ops
+        add_op = ops.append
+        add_left = table._lefts.append
+        add_right = table._rights.append
         obj_new = object.__new__
         add_result = results.add
         add_flag = flags.add
@@ -378,10 +386,10 @@ class MaskedOps:
                             yk | ~(xk & (xv if is_and else ~xv)))):
                         result = MaskedSymbol(sym=y_sym, mask=mask)
                     else:
-                        ident = table._next
-                        table._next = ident + 1
-                        infos[ident] = SymbolInfo(ident, None, derived,
-                                                  (op_name, x, y))
+                        ident = len(ops)
+                        add_op(op_name)
+                        add_left(x)
+                        add_right(y)
                         result = obj_new(MaskedSymbol)
                         result.sym = ident
                         result.mask = mask
@@ -467,13 +475,15 @@ class MaskedOps:
         width = self.width
         full = self._full
         sign_shift = self._sign_shift
-        # Fresh-symbol allocation inlined (the _fresh_result/fresh_derived/
-        # SymbolTable.fresh call chain, with identical allocation order and
-        # provenance): big symbolic products allocate one derived symbol per
-        # pair, so the three call frames per allocation are pure overhead.
+        # Fresh-symbol allocation inlined (the _fresh_result/fresh_derived
+        # call chain, with identical allocation order and provenance): big
+        # symbolic products allocate one derived symbol per pair, so the
+        # two call frames per allocation are pure overhead.
         table = self.table
-        infos = table._infos
-        derived = SymbolKind.DERIVED
+        ops = table._ops
+        add_op = ops.append
+        add_left = table._lefts.append
+        add_right = table._rights.append
         obj_new = object.__new__
         add_result = results.add
         add_flag = flags.add
@@ -508,10 +518,10 @@ class MaskedOps:
                     elif y_sym is not None and not (symbolic & (yk | ~(xk & ~xv))):
                         result = MaskedSymbol(sym=y_sym, mask=mask)
                     else:
-                        ident = table._next
-                        table._next = ident + 1
-                        infos[ident] = SymbolInfo(ident, None, derived,
-                                                  ("XOR", x, y))
+                        ident = len(ops)
+                        add_op("XOR")
+                        add_left(x)
+                        add_right(y)
                         result = obj_new(MaskedSymbol)
                         result.sym = ident
                         result.mask = mask

@@ -16,6 +16,14 @@ dynamically allocated buffer.  Symbols are plain ints allocated from a
   came from, so that a :class:`Valuation` of the input symbols extends
   uniquely to all derived symbols.  This makes the soundness statements of
   the paper executable and is used heavily by the property-based test suite.
+
+Provenance is stored by column: three parallel lists indexed by symbol id
+hold the operation, the left operand and the right operand, so allocating a
+derived symbol (hundreds of thousands per paper-geometry figure) appends
+three references and creates no record.  The few named, input, unknown and
+provenance-less symbols keep a :class:`SymbolInfo` in a side dict and a
+``None`` placeholder in the columns; :meth:`SymbolTable.info` builds the
+record of a derived symbol on demand.
 """
 
 from __future__ import annotations
@@ -73,8 +81,14 @@ class SymbolTable:
     """
 
     width: int = 32
-    _infos: dict[int, SymbolInfo] = field(default_factory=dict)
-    _next: int = 0
+    # Provenance columns indexed by symbol id (see the module docstring);
+    # the next id to allocate is ``len(_ops)``.  ``MaskedOps`` appends to
+    # them directly on its fresh-symbol paths.
+    _ops: list[str | None] = field(default_factory=list)
+    _lefts: list["MaskedSymbol | None"] = field(default_factory=list)
+    _rights: list["MaskedSymbol | None"] = field(default_factory=list)
+    # Symbols that are not anonymous derived ones with provenance.
+    _records: dict[int, SymbolInfo] = field(default_factory=dict)
     # orig/off/succ of §5.4.2, keyed by masked symbols.
     _origin: dict["MaskedSymbol", tuple["MaskedSymbol", int]] = field(default_factory=dict)
     _succ: dict[tuple["MaskedSymbol", int], "MaskedSymbol"] = field(default_factory=dict)
@@ -89,14 +103,15 @@ class SymbolTable:
         provenance: tuple | None = None,
     ) -> int:
         """Allocate a new symbol and return its identifier."""
-        ident = self._next
-        self._next += 1
-        self._infos[ident] = SymbolInfo(
-            ident=ident,
-            name=name,
-            kind=kind,
-            provenance=provenance,
-        )
+        ident = len(self._ops)
+        if name is None and kind == SymbolKind.DERIVED and provenance is not None:
+            op_name, left, right = provenance
+        else:
+            op_name = left = right = None
+            self._records[ident] = SymbolInfo(ident, name, kind, provenance)
+        self._ops.append(op_name)
+        self._lefts.append(left)
+        self._rights.append(right)
         return ident
 
     def input_symbol(self, name: str) -> int:
@@ -111,24 +126,33 @@ class SymbolTable:
     # Metadata accessors
     # ------------------------------------------------------------------
     def info(self, ident: int) -> SymbolInfo:
-        """Return the metadata record of symbol ``ident``."""
-        return self._infos[ident]
+        """Return the metadata record of symbol ``ident``.
+
+        A derived symbol's record is built from the columns on each call.
+        """
+        record = self._records.get(ident)
+        if record is not None:
+            return record
+        if not 0 <= ident < len(self._ops):
+            raise KeyError(ident)
+        return SymbolInfo(ident, None, SymbolKind.DERIVED,
+                          (self._ops[ident], self._lefts[ident], self._rights[ident]))
 
     def name(self, ident: int) -> str:
         """Human-readable name of the symbol."""
-        return self._infos[ident].name
+        return self.info(ident).name
 
     def kind(self, ident: int) -> str:
         """Symbol kind: input, derived, or unknown."""
-        return self._infos[ident].kind
+        return self.info(ident).kind
 
     def input_symbols(self) -> list[int]:
         """All symbols of kind INPUT, in allocation order."""
-        return [i for i, info in self._infos.items() if info.kind == SymbolKind.INPUT]
+        return [i for i, info in self._records.items() if info.kind == SymbolKind.INPUT]
 
     def all_symbols(self) -> list[int]:
         """All allocated symbols, in allocation order."""
-        return list(self._infos)
+        return list(range(len(self._ops)))
 
     # ------------------------------------------------------------------
     # Origins, offsets and the succ table (§5.4.2)

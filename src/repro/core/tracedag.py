@@ -13,14 +13,18 @@ run)`` describing the in-progress tail of each trace bundle: the last
 to a different label, the entry is *committed* as a real vertex and a new
 virtual entry is opened.  Cursor parents are frozensets of vertex ids.
 
-Each DAG is stored as parallel lists indexed by vertex id: label, parents,
+Each DAG is stored as parallel columns indexed by vertex id: label, parents,
 run, count and the low/high path-length span for the exact DAG; label,
 parents and count for the stuttering quotient.  Slot 0 holds the root as an
 ordinary entry (count 1, span 0), so the folds read it like any other
-parent.  A vertex with one parent stores that parent's id as an ``int``;
-only a multi-parent vertex keeps the frozenset it was keyed by.  A commit
-therefore appends to lists and allocates no per-vertex object the cyclic
-garbage collector has to track; the :class:`Vertex` and
+parent.  The bounded int columns (parent ids, runs and the span) are
+unboxed ``array('q')`` columns; labels and counts stay lists, because
+labels are objects and counts are unbounded (Proposition 2 multiplies
+label sizes along a path).  A vertex with one parent stores that parent's
+id; the root and a multi-parent vertex store the marker id ``-1`` and
+keep their parent frozenset in a side dict.  A fork-free commit therefore
+appends machine words plus label and count references: no vertex record,
+no parent set and no boxed id or span.  The :class:`Vertex` and
 :class:`StutterVertex` records are built on demand for introspection.
 
 Three refinements over the paper's §6.4 presentation (all verified against
@@ -47,6 +51,7 @@ with the repetition factor folded into vertex identities.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.core.observers import ProjectedLabel
@@ -54,6 +59,8 @@ from repro.core.observers import ProjectedLabel
 __all__ = ["TraceDAG", "Cursor", "EndSet", "EMPTY_ENDS", "Vertex", "StutterVertex", "ROOT_VERTEX"]
 
 ROOT_VERTEX = 0
+# Parent-column marker: the vertex's parent set is in the side dict.
+_MULTI_PARENT = -1
 
 # A cursor entry: (exact parent ids, stutter parent ids, label, run).
 Entry = tuple[frozenset, frozenset, ProjectedLabel | None, int]
@@ -89,11 +96,6 @@ class StutterVertex:
     count_value: int
 
 
-def _parent_set(parents: int | frozenset) -> frozenset:
-    """The frozenset of parent ids for a stored parents entry."""
-    return parents if type(parents) is frozenset else frozenset((parents,))
-
-
 @dataclass(frozen=True, slots=True)
 class EndSet:
     """Final vertices of both DAGs (returned by :meth:`TraceDAG.finalize`)."""
@@ -108,21 +110,32 @@ class EndSet:
 EMPTY_ENDS = EndSet(frozenset(), frozenset())
 
 
+def _parent_set(column: array, parent_sets: dict[int, frozenset],
+                ident: int) -> frozenset:
+    """The frozenset of parent ids of vertex ``ident``."""
+    parent = column[ident]
+    if parent == _MULTI_PARENT:
+        return parent_sets[ident]
+    return frozenset((parent,))
+
+
 class TraceDAG:
     """A single-observer trace DAG with cursor-based updates."""
 
     def __init__(self, dedupe: bool = True) -> None:
-        # Parallel lists indexed by vertex id, slot 0 the root (see the
-        # module docstring); parents are an int id or a multi-parent
-        # frozenset.
+        # Parallel columns indexed by vertex id, slot 0 the root (see the
+        # module docstring); a parent column holds a parent id, or
+        # _MULTI_PARENT for a vertex whose parent set is in the side dict.
         self._labels: list[ProjectedLabel | None] = [None]
-        self._parents: list[int | frozenset] = [frozenset()]
-        self._runs: list[int] = [0]
+        self._parents = array("q", (_MULTI_PARENT,))
+        self._parent_sets: dict[int, frozenset] = {ROOT_VERTEX: frozenset()}
+        self._runs = array("q", (0,))
         self._counts: list[int] = [1]
-        self._lows: list[int] = [0]
-        self._highs: list[int] = [0]
+        self._lows = array("q", (0,))
+        self._highs = array("q", (0,))
         self._stutter_labels: list[ProjectedLabel | None] = [None]
-        self._stutter_parents: list[int | frozenset] = [frozenset()]
+        self._stutter_parents = array("q", (_MULTI_PARENT,))
+        self._stutter_parent_sets: dict[int, frozenset] = {ROOT_VERTEX: frozenset()}
         self._stutter_counts: list[int] = [1]
         # Registries map commit keys to the *frozenset* {ident} handed to
         # cursors, so repeat commits reuse one allocation.  While the cursor
@@ -171,9 +184,9 @@ class TraceDAG:
         if not 0 < ident < len(self._labels):
             raise KeyError(ident)
         return Vertex(ident, self._labels[ident],
-                      _parent_set(self._parents[ident]), self._runs[ident],
-                      self._counts[ident], self._lows[ident],
-                      self._highs[ident])
+                      _parent_set(self._parents, self._parent_sets, ident),
+                      self._runs[ident], self._counts[ident],
+                      self._lows[ident], self._highs[ident])
 
     def vertices(self) -> list[Vertex]:
         """All committed exact vertices."""
@@ -183,7 +196,8 @@ class TraceDAG:
         """All committed stuttering-quotient vertices."""
         return [
             StutterVertex(ident, self._stutter_labels[ident],
-                          _parent_set(self._stutter_parents[ident]),
+                          _parent_set(self._stutter_parents,
+                                      self._stutter_parent_sets, ident),
                           self._stutter_counts[ident])
             for ident in range(1, len(self._stutter_labels))
         ]
@@ -416,8 +430,9 @@ class TraceDAG:
         hashing each key exactly once on the dominant new-vertex path; the
         count/span folds happen here while the parents are at hand, and a
         single parent (every commit of a fork-free run) is stored and
-        folded as a plain id — this is the hottest function of the whole
-        DAG layer once an exploration forks.
+        folded as a plain id; only a multi-parent vertex reaches the side
+        dict.  This is the hottest function of the whole DAG layer once an
+        exploration forks.
         """
         if label is None:  # root-virtual entry: nothing to commit
             return parents, stutter_parents
@@ -439,7 +454,8 @@ class TraceDAG:
                 low = lows[parent]
                 high = highs[parent]
             else:
-                parent = parents
+                parent = _MULTI_PARENT
+                self._parent_sets[ident] = parents
                 total = sum([counts[p] for p in parents])
                 low = min([lows[p] for p in parents])
                 high = max([highs[p] for p in parents])
@@ -465,7 +481,8 @@ class TraceDAG:
                 (parent,) = stutter_parents
                 total = stutter_counts[parent]
             else:
-                parent = stutter_parents
+                parent = _MULTI_PARENT
+                self._stutter_parent_sets[stutter_ident] = stutter_parents
                 total = sum([stutter_counts[p] for p in stutter_parents])
             stutter_labels.append(label)
             self._stutter_parents.append(parent)

@@ -374,3 +374,65 @@ def test_offset_chain_soundness(offsets, lam):
         total += step
     valuation = Valuation(table, {sym: lam})
     assert valuation.concretize(current) == (lam + total) & 0xFF
+
+
+# ----------------------------------------------------------------------
+# Bulk lifts: the per-pair transformers' symbols, provenance and soundness
+# ----------------------------------------------------------------------
+
+INPUTS = 3  # input symbols 0..2, allocated first in every table
+
+
+def bulk_elements():
+    """Lists of mixed constant and symbolic elements over the inputs."""
+    constants = WORDS.map(lambda value: MaskedSymbol.constant(value, WIDTH))
+    symbolic = st.tuples(
+        st.integers(min_value=0, max_value=INPUTS - 1), WORDS, WORDS,
+    ).map(lambda drawn: MaskedSymbol(
+        sym=drawn[0], mask=Mask(known=drawn[1], value=drawn[2] & drawn[1],
+                                width=WIDTH)))
+    return st.lists(st.one_of(constants, symbolic), min_size=1, max_size=4)
+
+
+def _input_table():
+    table = SymbolTable(width=WIDTH)
+    assert [table.input_symbol(f"in{i}") for i in range(INPUTS)] == list(range(INPUTS))
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    op_name=st.sampled_from(["XOR", "AND", "OR"]),
+    xs=bulk_elements(),
+    ys=bulk_elements(),
+    lams=st.lists(WORDS, min_size=INPUTS, max_size=INPUTS),
+)
+def test_bulk_lifts_match_pairwise_and_are_sound(op_name, xs, ys, lams):
+    """``xor_bulk``/``boolean_bulk`` allocate exactly the symbols, with
+    exactly the provenance, of the per-pair transformers called in
+    (x outer, y inner) order; and every pair's concrete result lies in
+    the concretized result set (Lemma 1, fresh symbols resolved by λ̄)."""
+    bulk_table, pair_table = _input_table(), _input_table()
+    bulk, pairwise = MaskedOps(bulk_table), MaskedOps(pair_table)
+    if op_name == "XOR":
+        results, flags = bulk.xor_bulk(xs, ys)
+    else:
+        results, flags = bulk.boolean_bulk(op_name, xs, ys)
+    per_pair = {"XOR": pairwise.xor, "AND": pairwise.and_,
+                "OR": pairwise.or_}[op_name]
+    pairs = [per_pair(x, y) for x in xs for y in ys]
+
+    assert results == {result for result, _ in pairs}
+    assert flags == {flag for _, flag in pairs}
+    assert bulk_table.all_symbols() == pair_table.all_symbols()
+    for ident in bulk_table.all_symbols():
+        made, expected = bulk_table.info(ident), pair_table.info(ident)
+        assert (made.kind, made.provenance) == (expected.kind, expected.provenance)
+
+    valuation = Valuation(bulk_table, dict(enumerate(lams)))
+    concretized = {valuation.concretize(result) for result in results}
+    for x in xs:
+        for y in ys:
+            concrete = concrete_op(op_name, valuation.concretize(x),
+                                   valuation.concretize(y), WIDTH)
+            assert concrete in concretized

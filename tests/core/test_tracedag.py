@@ -1,6 +1,7 @@
 """Tests for the memory trace domain T♯ (paper §6, Example 9 / Figure 4)."""
 
 import gc
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -322,3 +323,89 @@ class TestColumnarStorage:
         grown = len(gc.get_objects()) - before
         assert dag.size == 10_000  # root + 9,999 commits; the tail is open
         assert grown < 100
+
+    def test_fork_free_chain_stores_machine_words(self):
+        """Parent ids, runs and spans are unboxed: a fork-free commit costs
+        about nine 8-byte column slots, not four boxed ``int`` objects on
+        top of them (~200 bytes per commit in a list-of-ints layout)."""
+        dag = TraceDAG(dedupe=False)
+        cursor = dag.root_cursor()
+        runs = [(A, 1), (B, 2)] * 5_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cursor = dag.access_seq(cursor, runs)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        commits = dag.size - 1
+        assert commits == 9_999
+        assert grown / commits < 100
+
+
+E, F = label("E"), label("F")
+
+
+def _explore_three_arms(dag):
+    """A fork-free A B, then a fork (deduplication turns on, as the engine
+    does it), arms C x1, C x2 and D, a three-way merge, and a tail E F.
+    E has three exact parents but two stuttering ones (C x1 and C x2 are
+    one stuttering vertex), so the two DAGs number them differently."""
+    cursor = dag.access_seq(dag.root_cursor(), [(A, 1), (B, 1)])
+    dag.enable_dedupe()
+    arms = [dag.access(cursor, C), dag.access_run(cursor, C, 2),
+            dag.access(cursor, D)]
+    cursor = dag.merge(dag.merge(arms[0], arms[1]), arms[2])
+    return dag.finalize(dag.access(dag.access(cursor, E), F))
+
+
+def _shape(vertices, with_run):
+    """Each vertex by name (its label's key, plus ``x<run>`` for the exact
+    DAG) mapped to its parents' names: independent of commit order."""
+    names = {0: "root"}
+    for vertex in vertices:
+        (key,) = vertex.label.keys
+        names[vertex.ident] = f"{key}x{vertex.run}" if with_run else key
+    return {names[vertex.ident]: {names[parent] for parent in vertex.parents}
+            for vertex in vertices}
+
+
+class TestMultiParentVertices:
+    """The root and merge vertices keep their parent sets out of the
+    unboxed parent columns; every reader must find them."""
+
+    def test_introspection_round_trips_parent_sets(self):
+        dag = TraceDAG(dedupe=False)
+        ends = _explore_three_arms(dag)
+        assert _shape(dag.vertices(), with_run=True) == {
+            "Ax1": {"root"}, "Bx1": {"Ax1"}, "Cx1": {"Bx1"}, "Cx2": {"Bx1"},
+            "Dx1": {"Bx1"}, "Ex1": {"Cx1", "Cx2", "Dx1"}, "Fx1": {"Ex1"}}
+        assert _shape(dag.stutter_vertices(), with_run=False) == {
+            "A": {"root"}, "B": {"A"}, "C": {"B"}, "D": {"B"},
+            "E": {"C", "D"}, "F": {"E"}}
+        for vertex in dag.vertices():
+            assert dag.vertex(vertex.ident) == vertex
+        assert dag.count(ends) == 3
+        assert dag.count(ends, stuttering=True) == 2
+        assert dag.path_length_span(ends) == (5, 6)
+        for vertices, stuttering in ((dag.vertices(), False),
+                                     (dag.stutter_vertices(), True)):
+            dot = dag.to_dot(stuttering=stuttering)
+            edges = {line.strip() for line in dot.splitlines() if "->" in line}
+            assert edges == {f"v{parent} -> v{vertex.ident};"
+                             for vertex in vertices for parent in vertex.parents}
+
+    def test_backfill_registers_every_vertex(self):
+        """A re-run over the same DAG after ``enable_dedupe(backfill=True)``
+        finds every key it commits, including the pre-fork ones committed
+        while deduplication was off: the DAG does not grow."""
+        dag = TraceDAG(dedupe=False)
+        first = _explore_three_arms(dag)
+        size = dag.size
+        vertices, stutter_vertices = dag.vertices(), dag.stutter_vertices()
+        dag.enable_dedupe(backfill=True)
+        again = _explore_three_arms(dag)
+        assert dag.size == size
+        assert dag.vertices() == vertices
+        assert dag.stutter_vertices() == stutter_vertices
+        assert again == first

@@ -360,6 +360,48 @@ class TestSweepRobustness:
         assert DEADLINE_ENV not in os.environ
 
 
+def _cli_env(**planted: str) -> dict:
+    """This environment for a ``python -m repro`` child, minus every
+    ``REPRO_FAULT*`` variable, plus ``planted``."""
+    root = Path(__file__).resolve().parent.parent
+    env = {name: value for name, value in os.environ.items()
+           if not name.startswith("REPRO_FAULT")}
+    env["PYTHONPATH"] = str(root / "src")
+    env.update(planted)
+    return env
+
+
+class TestProcessExit:
+    """Exits that only a separate process can show."""
+
+    def test_closed_stdout_exits_141_without_a_traceback(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "list"], env=_cli_env(),
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_inline_crash_leaves_no_fault_directory(self, tmp_path):
+        """An inline sweep counts fault firings in-process: its injected
+        crash (``os._exit``) has no temporary directory to leak."""
+        from repro.sweep import faults
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "sqm-O2-64B",
+             "lookup-O2-64B", "--jobs", "1"],
+            env=_cli_env(TMPDIR=str(tmp_path),
+                         **{faults.FAULT_ENV: "crash:lookup"}),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == faults.CRASH_EXIT_CODE, proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
 _NUMPY_PROBE = """
 import sys
 import repro.__main__
