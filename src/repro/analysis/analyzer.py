@@ -19,7 +19,7 @@ from repro.core.adversary import PROBE, derive_adversary_bounds
 from repro.core.leakage import LeakageReport, ObservationBound
 from repro.core.masked import MaskedSymbol
 from repro.core.observers import AccessKind
-from repro.core.valueset import ValueSet
+from repro.core.valueset import ValueSet, intern_clear
 from repro.isa.image import Image
 from repro.isa.registers import ESP
 from repro.obs import trace as obs_trace
@@ -107,7 +107,19 @@ def analyze(
     spec: InputSpec,
     config: AnalysisConfig | None = None,
 ) -> AnalysisResult:
-    """Analyze one region of an image and bound its leakage per observer."""
+    """Analyze one region of an image and bound its leakage per observer.
+
+    The domain's hash-consing tables are released on every exit: the result
+    holds the values it needs, and equality never depends on the tables.
+    """
+    try:
+        return _analyze(image, spec, config)
+    finally:
+        intern_clear()
+
+
+def _analyze(image: Image, spec: InputSpec,
+             config: AnalysisConfig | None) -> AnalysisResult:
     with obs_trace.span("analyze.build_state"):
         context = AnalysisContext(config or AnalysisConfig())
         state, named = build_initial_state(context, spec, image)

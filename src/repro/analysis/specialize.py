@@ -57,7 +57,7 @@ from repro.analysis.flags import FlagState, TOP_FLAGS
 from repro.analysis.state import FlagSource
 from repro.analysis.transfer import Transfer
 from repro.core.lru import DEFAULT_CACHE_CAP, LRUCache
-from repro.core.valueset import PrecisionLoss, ValueSet
+from repro.core.valueset import KEPT_FLAGS, PrecisionLoss, ValueSet
 from repro.isa.image import Image
 from repro.isa.instructions import Imm, Instruction, Mem, Reg
 from repro.isa.registers import ESP, Reg8
@@ -231,6 +231,7 @@ _BINARY_FN = {"add": "_add", "sub": "_sub", "and": "_and",
 # closes over (fast LOAD_DEREF instead of global or attribute lookups).
 _GLOBALS = {
     "PrecisionLoss": PrecisionLoss, "TOP_FLAGS": TOP_FLAGS,
+    "KEPT_FLAGS": KEPT_FLAGS,
     "from_flagbits": FlagState.from_flagbits, "FlagSource": FlagSource,
     "vs_constants": ValueSet.constants, "vs_constant": ValueSet.constant,
     "preserve_cf": Transfer._preserve_cf,
@@ -509,11 +510,16 @@ class _BlockGenerator:
             result = self.tmp()
             self.line("try:")
             self.line(f'    {result}, _fb = _shift("{mnemonic.upper()}", {x}, {count})')
-            self.line("    state.flags = _FF(_fb)")
+            self.line("    if KEPT_FLAGS not in _fb:")
+            self.line("        state.flags = _FF(_fb)")
+            self.line("        state.flag_source = None")
+            self.line("    elif len(_fb) > 1:")
+            self.line("        state.flags = state.flags.join(_FF(_fb - {KEPT_FLAGS}))")
+            self.line("        state.flag_source = None")
             self.line("except (_PL, ValueError) as _e:")
             self.line(f'    {result} = _widen("{mnemonic}: %s" % (_e,))')
             self.line("    state.flags = _TOP")
-            self.line("state.flag_source = None")
+            self.line("    state.flag_source = None")
             self.write(ops[0], result)
         elif mnemonic == "imul":
             if len(ops) == 2:

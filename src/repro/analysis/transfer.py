@@ -23,7 +23,7 @@ from repro.analysis.config import AnalysisError
 from repro.analysis.flags import FlagState, TOP_FLAGS
 from repro.analysis.state import AbsState, AnalysisContext, FlagSource
 from repro.core.bitvec import sign_bit, sub_with_borrow, truncate
-from repro.core.valueset import PrecisionLoss, ValueSet
+from repro.core.valueset import KEPT_FLAGS, PrecisionLoss, ValueSet
 from repro.isa.image import Image
 from repro.isa.instructions import Imm, Instruction, Mem, Reg, condition_holds
 from repro.isa.registers import EAX, EDX, ESP, Reg8
@@ -259,11 +259,17 @@ class Transfer:
             count = self._read_operand(state, ops[1], emit)
             try:
                 result, flag_bits = self.ops.shift(mnemonic.upper(), x, count)
-                state.flags = FlagState.from_flagbits(flag_bits)
+                if KEPT_FLAGS not in flag_bits:
+                    state.flags = FlagState.from_flagbits(flag_bits)
+                    state.flag_source = None
+                elif len(flag_bits) > 1:  # zero and non-zero counts
+                    state.flags = state.flags.join(
+                        FlagState.from_flagbits(flag_bits - {KEPT_FLAGS}))
+                    state.flag_source = None
             except (PrecisionLoss, ValueError) as problem:
                 result = self.context.widened(f"{mnemonic}: {problem}")
                 state.flags = TOP_FLAGS
-            state.flag_source = None
+                state.flag_source = None
             self._write_operand(state, ops[0], result, emit)
         elif mnemonic == "imul":
             if len(ops) == 2:

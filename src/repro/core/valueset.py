@@ -22,9 +22,13 @@ from repro.core.lru import LRUCache
 from repro.core.masked import FlagBits, MaskedOps, MaskedSymbol
 
 __all__ = ["ValueSet", "ValueSetOps", "PrecisionLoss", "DEFAULT_SET_CAP",
-           "LIFT_MEMO_CAP", "intern_clear", "intern_counters", "intern_size"]
+           "KEPT_FLAGS", "LIFT_MEMO_CAP", "intern_clear", "intern_counters",
+           "intern_size"]
 
 DEFAULT_SET_CAP = 64
+
+# The flag outcome of a shift by a zero count, which leaves the flags alone.
+KEPT_FLAGS = None
 
 # Cap of the per-context lifting memo.  Sized an order of magnitude above the
 # distinct-lifting count of the heaviest catalogue scenario, so in practice
@@ -382,6 +386,11 @@ class ValueSetOps:
     def shift(self, op_name: str, x: ValueSet, amounts: ValueSet):
         """Lifted SHL/SHR/SAR; the shift count must be fully known.
 
+        A zero count leaves the flags as they were (x86), so its flag
+        outcome is ``KEPT_FLAGS``: the caller keeps the old flags when it
+        is the only outcome, and joins them in when other counts change
+        the flags.
+
         Shares the id-keyed memo and the :meth:`_finalize_lift` tail with
         the binary liftings; the product itself keeps the historical
         iteration order (integer counts outer, shifted operand inner, count
@@ -403,7 +412,7 @@ class ValueSetOps:
             for element in x:
                 value, flag = shift_op(element, count)
                 results.add(value)
-                flags.add(flag)
+                flags.add(flag if count else KEPT_FLAGS)
         return self._finalize_lift(memo_key, results, flags)
 
     def apply(self, op_name: str, x: ValueSet, y: ValueSet | None):

@@ -39,6 +39,7 @@ class ParseError(Exception):
 
 
 _LABEL_RE = re.compile(r"^([.\w$]+):\s*(.*)$")
+_SYMBOL_RE = re.compile(r"^[.\w$]+$")
 _MEM_TERM_RE = re.compile(r"^(\w+)\*(\d+)$")
 
 
@@ -172,7 +173,14 @@ def _parse_operand(token: str, current_function: str):
     if _is_number(token):
         return Imm(int(token, 0) & 0xFFFFFFFF)
     # Bare identifier: a code label or data symbol.
-    return Label(_local_name(current_function, token))
+    return Label(_symbol(token, current_function))
+
+
+def _symbol(token: str, current_function: str) -> str:
+    """The symbol a label operand names; anything else is malformed."""
+    if not _SYMBOL_RE.match(token):
+        raise ParseError(f"malformed operand {token!r}")
+    return _local_name(current_function, token)
 
 
 def _is_number(token: str) -> bool:
@@ -215,7 +223,7 @@ def _parse_mem(expr: str, size: int, current_function: str) -> Mem:
                 raise ParseError(f"two symbols in [{expr}]")
             if sign < 0:
                 raise ParseError("cannot subtract a symbol in a memory operand")
-            disp_label = _local_name(current_function, term)
+            disp_label = _symbol(term, current_function)
     return Mem(
         base=base, index=index, scale=scale,
         disp=disp & 0xFFFFFFFF, size=size, disp_label=disp_label,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from repro.core.bitvec import to_signed, truncate
 from repro.isa.instructions import CONDITIONS, Imm, Instruction, Mem, Reg
-from repro.isa.registers import Reg8
+from repro.isa.registers import ECX, Reg8
 
 __all__ = ["encode", "decode", "OPCODE_TABLE", "OPCODE_OF", "EncodeError", "DecodeError"]
 
@@ -158,49 +158,57 @@ def _imm_fits_8(value: int) -> bool:
 # Encoding
 # ----------------------------------------------------------------------
 
-def _select_form(instr: Instruction, addr: int, force_long: bool) -> str:
+_ALU = frozenset(("mov", "add", "sub", "and", "or", "xor", "cmp"))
+_BRANCHES = frozenset(("jmp", *(f"j{condition}" for condition in CONDITIONS)))
+
+# The operand shapes (operand type names) every other mnemonic accepts, and
+# the form each shape encodes as; any other shape has no encoding.
+_UNARY = {("Reg",): "r", ("Mem",): "m"}
+_SHIFT = {("Reg", "Imm"): "ri8", ("Reg", "Reg8"): "rc"}  # count: imm8 or CL
+_FORMS = {
+    "call": {("int",): "rel32"},
+    "movzx": {("Reg", "Mem"): "rm", ("Reg", "Reg8"): "rb"},
+    "movb": {("Mem", "Reg8"): "mr8"},
+    "lea": {("Reg", "Mem"): "rm"},
+    **dict.fromkeys(("inc", "dec", "neg", "not"), _UNARY),
+    **dict.fromkeys(("shl", "shr", "sar"), _SHIFT),
+    "imul": {("Reg", "Reg"): "rr", ("Reg", "Reg", "Imm"): "rri32"},
+    "mul": {("Reg",): "r"},
+    "div": {("Reg",): "r"},
+    "push": {("Reg",): "r", ("Imm",): "i32", ("Mem",): "m"},
+    "pop": {("Reg",): "r"},
+    "test": {("Reg", "Reg"): "rr", ("Reg", "Imm"): "ri32"},
+    **dict.fromkeys(("ret", "nop", "hlt"), {(): "none"}),
+    **{f"set{condition}": {("Reg8",): "r8"} for condition in CONDITIONS},
+}
+
+
+def _select_form(instr: Instruction, force_long: bool) -> str:
     """Pick the encoding form from the operand shapes."""
     mnemonic = instr.mnemonic
     ops = instr.operands
     shapes = tuple(type(op).__name__ for op in ops)
 
-    if mnemonic in ("jmp",) or (mnemonic.startswith("j") and mnemonic != "jmp"):
-        return "rel32" if force_long else "rel8"
-    if mnemonic == "call":
-        return "rel32"
-    if mnemonic.startswith("set"):
-        return "r8"
-    if mnemonic == "movzx":
-        return "rm" if shapes == ("Reg", "Mem") else "rb"
-    if mnemonic == "movb":
-        return "mr8"
-    if mnemonic == "lea":
-        return "rm"
-    if mnemonic in ("inc", "dec", "neg", "not", "mul", "div"):
-        return "r" if shapes == ("Reg",) else "m"
-    if mnemonic in ("shl", "shr", "sar"):
-        return "ri8" if shapes == ("Reg", "Imm") else "rc"
-    if mnemonic == "imul":
-        return "rr" if len(ops) == 2 else "rri32"
-    if mnemonic == "push":
-        return {"Reg": "r", "Imm": "i32", "Mem": "m"}[shapes[0]]
-    if mnemonic == "pop":
-        return "r"
-    if mnemonic in ("ret", "nop", "hlt"):
-        return "none"
-    if mnemonic == "test":
-        return "rr" if shapes == ("Reg", "Reg") else "ri32"
-    # Generic ALU including mov.
-    if shapes == ("Reg", "Reg"):
-        return "rr"
-    if shapes == ("Reg", "Imm"):
-        return "ri8" if _imm_fits_8(ops[1].value) else "ri32"
-    if shapes == ("Reg", "Mem"):
-        return "rm"
-    if shapes == ("Mem", "Reg"):
-        return "mr"
-    if shapes == ("Mem", "Imm"):
-        return "mi8" if _imm_fits_8(ops[1].value) else "mi32"
+    if mnemonic in _BRANCHES:
+        if shapes == ("int",):
+            return "rel32" if force_long else "rel8"
+    elif mnemonic in _ALU:
+        if shapes == ("Reg", "Reg"):
+            return "rr"
+        if shapes == ("Reg", "Imm"):
+            return "ri8" if _imm_fits_8(ops[1].value) else "ri32"
+        if shapes == ("Reg", "Mem"):
+            return "rm"
+        if shapes == ("Mem", "Reg"):
+            return "mr"
+        if shapes == ("Mem", "Imm"):
+            return "mi8" if _imm_fits_8(ops[1].value) else "mi32"
+    else:
+        form = _FORMS.get(mnemonic, {}).get(shapes)
+        if form == "rc" and ops[1].reg != ECX:
+            form = None  # the only register shift count is CL
+        if form is not None:
+            return form
     raise EncodeError(f"no encoding for {instr.render()}")
 
 
@@ -211,7 +219,7 @@ def encode(instr: Instruction, addr: int = 0, force_long: bool = False) -> bytes
     resolves labels before encoding).  ``force_long`` selects the rel32 form
     of a branch regardless of displacement (used by branch relaxation).
     """
-    form = _select_form(instr, addr, force_long)
+    form = _select_form(instr, force_long)
     ops = instr.operands
     if form.startswith("rel") and not force_long:
         # Verify the short displacement actually fits; fall back to rel32.

@@ -55,6 +55,10 @@ class Image:
         self.symbols = dict(symbols)
         self.functions = dict(functions or {})
         self._decode_cache: dict[int, Instruction] = {}
+        # The concrete VM's predecoded handlers, {addr: (handler, size,
+        # instruction)}, filled by repro.vm.cpu as execution reaches them.
+        self.handlers: dict[int, tuple] = {}
+        self._snapshot: dict[int, int] | None = None
         self._fingerprint: str | None = None
 
     @property
@@ -97,6 +101,19 @@ class Image:
             raise AssemblyError(f"read outside image: {addr:#x}+{size}")
         offset = addr - section.base
         return bytes(section.data[offset:offset + size])
+
+    def snapshot(self) -> dict[int, int]:
+        """Every section byte by address, built once (callers copy it).
+
+        The concrete VM loads an image by copying this into its memory.
+        """
+        if self._snapshot is None:
+            self._snapshot = {
+                section.base + offset: value
+                for section in self.sections
+                for offset, value in enumerate(section.data)
+            }
+        return self._snapshot
 
     def symbol(self, name: str) -> int:
         """Address of a symbol."""
@@ -211,22 +228,27 @@ class Assembler:
     # ------------------------------------------------------------------
     def assemble(self) -> Image:
         """Resolve labels, relax branches, and produce the final image."""
+        sizes: dict[int, int] = {}  # id(instruction) -> size, non-branches
         long_branches: set[int] = set()  # ids of items forced to rel32
         for _round in range(64):
-            symbols = self._layout(long_branches)
-            grown = self._find_overflowing_branches(symbols, long_branches)
+            symbols, short_branches = self._layout(sizes, long_branches)
+            grown = set()
+            for item, addr in short_branches:
+                operands = self._resolve(item, symbols, addr).operands
+                target = operands[0] if len(operands) == 1 else None
+                # A target that is not an address is the encoder's to reject.
+                if isinstance(target, int) and not -128 <= target - (addr + 2) <= 127:
+                    grown.add(id(item))
             if not grown:
-                return self._emit_image(symbols, long_branches)
+                return self._emit_image(symbols, sizes, long_branches)
             long_branches |= grown
         raise AssemblyError("branch relaxation did not converge")
 
-    def _is_branch(self, item) -> bool:
-        return isinstance(item, Instruction) and (
-            item.mnemonic == "jmp"
-            or (item.mnemonic.startswith("j") and item.mnemonic != "jmp")
-        ) and item.mnemonic != "call"
+    @staticmethod
+    def _is_branch(item) -> bool:
+        return isinstance(item, Instruction) and item.mnemonic.startswith("j")
 
-    def _item_size(self, item, addr: int, symbols: dict[str, int] | None,
+    def _item_size(self, item, addr: int, sizes: dict[int, int],
                    long_branches: set[int]) -> int:
         if isinstance(item, _LabelDef):
             return 0
@@ -239,11 +261,21 @@ class Assembler:
             return 5 if id(item) in long_branches else 2
         if item.mnemonic == "call":
             return 5
-        resolved = self._resolve(item, symbols or {}, addr, permissive=True)
-        return len(codec.encode(resolved, addr))
+        size = sizes.get(id(item))
+        if size is None:
+            # Encoded once per assembly.  Labels stand in as this address,
+            # which like every symbol lies far outside the 8-bit immediate
+            # and displacement range, so the size does not depend on symbol
+            # values; _emit_image checks it against the final encoding.
+            resolved = self._resolve(item, {}, addr, permissive=True)
+            size = sizes[id(item)] = len(codec.encode(resolved, addr))
+        return size
 
-    def _layout(self, long_branches: set[int]) -> dict[str, int]:
+    def _layout(self, sizes: dict[int, int], long_branches: set[int]
+                ) -> tuple[dict[str, int], list[tuple[Instruction, int]]]:
+        """Symbol addresses, and each branch still in rel8 form with its address."""
         symbols: dict[str, int] = {}
+        short_branches = []
         for section_name in ("text", "data"):
             addr = self._bases[section_name]
             for item in self._items[section_name]:
@@ -251,9 +283,11 @@ class Assembler:
                     if item.name in symbols:
                         raise AssemblyError(f"duplicate label {item.name!r}")
                     symbols[item.name] = addr
-                else:
-                    addr += self._item_size(item, addr, None, long_branches)
-        return symbols
+                    continue
+                if self._is_branch(item) and id(item) not in long_branches:
+                    short_branches.append((item, addr))
+                addr += self._item_size(item, addr, sizes, long_branches)
+        return symbols, short_branches
 
     def _resolve(self, instruction: Instruction, symbols: dict[str, int],
                  addr: int, permissive: bool = False) -> Instruction:
@@ -293,23 +327,7 @@ class Assembler:
             comment=instruction.comment,
         )
 
-    def _find_overflowing_branches(self, symbols: dict[str, int],
-                                   long_branches: set[int]) -> set[int]:
-        grown: set[int] = set()
-        for section_name in ("text",):
-            addr = self._bases[section_name]
-            for item in self._items[section_name]:
-                size = self._item_size(item, addr, symbols, long_branches)
-                if self._is_branch(item) and id(item) not in long_branches:
-                    resolved = self._resolve(item, symbols, addr)
-                    target = resolved.operands[0]
-                    disp = target - (addr + 2)
-                    if not -128 <= disp <= 127:
-                        grown.add(id(item))
-                addr += size
-        return grown
-
-    def _emit_image(self, symbols: dict[str, int],
+    def _emit_image(self, symbols: dict[str, int], sizes: dict[int, int],
                     long_branches: set[int]) -> Image:
         sections = []
         for section_name in ("text", "data"):
@@ -333,6 +351,11 @@ class Assembler:
                 resolved = self._resolve(item, symbols, addr)
                 encoded = codec.encode(resolved, addr,
                                        force_long=id(item) in long_branches)
+                size = self._item_size(item, addr, sizes, long_branches)
+                if len(encoded) != size:
+                    raise AssemblyError(
+                        f"{resolved.render()} at {addr:#x} encodes to "
+                        f"{len(encoded)} bytes but was laid out as {size}")
                 data.extend(encoded)
                 addr += len(encoded)
             sections.append(Section(name=section_name, base=base, data=data))

@@ -9,13 +9,14 @@ even though the concrete addresses differ.
 
 from __future__ import annotations
 
-from repro.core.bitvec import truncate
 from repro.isa.image import Image
 
 __all__ = ["FlatMemory", "MemoryError_", "DEFAULT_HEAP_BASE", "DEFAULT_STACK_TOP"]
 
 DEFAULT_HEAP_BASE = 0x0900_0000
 DEFAULT_STACK_TOP = 0x0BFF_F000
+
+_MASK = 0xFFFF_FFFF  # addresses wrap around at 2**32
 
 
 class MemoryError_(Exception):
@@ -41,37 +42,48 @@ class FlatMemory:
     # ------------------------------------------------------------------
     def load_image(self, image: Image) -> None:
         """Copy every section of an assembled image into memory."""
-        for section in image.sections:
-            for offset, value in enumerate(section.data):
-                self._bytes[section.base + offset] = value
+        self._bytes.update(image.snapshot())
 
     # ------------------------------------------------------------------
     # Byte/word access
     # ------------------------------------------------------------------
     def read_byte(self, addr: int) -> int:
         """Read one byte (uninitialized memory reads as 0)."""
-        return self._bytes.get(truncate(addr, 32), 0)
+        return self._bytes.get(addr & _MASK, 0)
 
     def write_byte(self, addr: int, value: int) -> None:
         """Write one byte."""
-        self._bytes[truncate(addr, 32)] = value & 0xFF
+        self._bytes[addr & _MASK] = value & 0xFF
 
     def read(self, addr: int, size: int) -> int:
         """Little-endian read of ``size`` bytes."""
+        get = self._bytes.get
+        if size == 4:
+            return (get(addr & _MASK, 0) | get((addr + 1) & _MASK, 0) << 8
+                    | get((addr + 2) & _MASK, 0) << 16
+                    | get((addr + 3) & _MASK, 0) << 24)
         value = 0
         for offset in range(size):
-            value |= self.read_byte(addr + offset) << (8 * offset)
+            value |= get((addr + offset) & _MASK, 0) << (8 * offset)
         return value
 
     def write(self, addr: int, value: int, size: int) -> None:
         """Little-endian write of ``size`` bytes."""
+        data = self._bytes
+        if size == 4:
+            data[addr & _MASK] = value & 0xFF
+            data[(addr + 1) & _MASK] = (value >> 8) & 0xFF
+            data[(addr + 2) & _MASK] = (value >> 16) & 0xFF
+            data[(addr + 3) & _MASK] = (value >> 24) & 0xFF
+            return
         for offset in range(size):
-            self.write_byte(addr + offset, (value >> (8 * offset)) & 0xFF)
+            data[(addr + offset) & _MASK] = (value >> (8 * offset)) & 0xFF
 
     def write_block(self, addr: int, payload: bytes) -> None:
         """Write a contiguous byte string."""
+        data = self._bytes
         for offset, value in enumerate(payload):
-            self.write_byte(addr + offset, value)
+            data[(addr + offset) & _MASK] = value & 0xFF
 
     # ------------------------------------------------------------------
     # Heap

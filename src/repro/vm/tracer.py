@@ -18,6 +18,7 @@ what lets :mod:`repro.core.adversary` bound them from the block trace DAG.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = ["Access", "Trace", "FETCH", "READ", "WRITE"]
 
@@ -26,9 +27,12 @@ READ = "R"
 WRITE = "W"
 
 
-@dataclass(frozen=True, slots=True)
-class Access:
-    """One memory access: kind (fetch/read/write), address, size in bytes."""
+class Access(NamedTuple):
+    """One memory access: kind (fetch/read/write), address, size in bytes.
+
+    A named tuple: the VM records one per fetch and data access, and a
+    tuple is several times cheaper to build than a frozen dataclass.
+    """
 
     kind: str
     addr: int

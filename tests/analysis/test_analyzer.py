@@ -10,10 +10,12 @@ import pytest
 
 from repro.analysis.analyzer import analyze
 from repro.analysis.config import AnalysisConfig, InputSpec, MemInit
+from repro.analysis.specialize import NO_SPECIALIZE_ENV
 from repro.analysis.validation import ConcreteValidator
+from repro.core import masked, valueset
 from repro.core.observers import AccessKind
 from repro.isa.asmparse import parse_asm
-from repro.isa.registers import EAX, EBX, ESI
+from repro.isa.registers import EAX, EBX, ECX, ESI
 
 I, D = AccessKind.INSTRUCTION, AccessKind.DATA
 
@@ -278,6 +280,61 @@ class TestBranchShapes:
         assert_validated(image, spec, result, layouts=[{}])
 
 
+# x86 leaves the flags alone on a shift by a zero count, so ZF still holds
+# the outcome of `cmp eax, eax` when the branch reads it: with a count of 0
+# the table load runs for every secret, with a count in {0, 1} for half of
+# them.  The loop runs its head block compiled from its fourth execution
+# on; with mixed counts each iteration forks, so an iteration that lost the
+# old flags changes the bound, and tier on = tier off checks the compile
+# tier's half of the fix.
+_SHIFT_BY_ZERO = """
+.text
+main:
+    cmp eax, eax
+    shl ebx, cl
+    je .leak
+    ret
+.leak:
+    mov edx, [table + esi*4]
+    ret
+.data
+table: .space 256
+"""
+_SHIFT_BY_ZERO_LOOP = """
+.text
+main:
+    mov edi, 0
+.loop:
+    cmp eax, eax
+    shl ebx, cl
+    jne .next
+    mov edx, [table + esi*4]
+.next:
+    inc edi
+    cmp edi, 6
+    jl .loop
+    ret
+.data
+table: .space 256
+"""
+
+
+class TestShiftByZero:
+    @pytest.mark.parametrize("counts", [(0,), (0, 1)], ids=["zero", "mixed"])
+    @pytest.mark.parametrize("source", [_SHIFT_BY_ZERO, _SHIFT_BY_ZERO_LOOP],
+                             ids=["straight", "loop"])
+    def test_shift_by_zero_keeps_flags(self, source, counts, monkeypatch):
+        image = build(source)
+        spec = InputSpec(entry="main", registers=(
+            InputSpec.reg_constant(EBX, 1),
+            InputSpec.reg_high(ECX, counts),
+            InputSpec.reg_high(ESI, (0, 16, 32, 48))))
+        result = analyze(image, spec, CONFIG)
+        assert_validated(image, spec, result, [{}])
+        monkeypatch.setenv(NO_SPECIALIZE_ENV, "1")
+        assert analyze(image, spec, CONFIG).report.bounds == result.report.bounds
+
+
 class TestCallsAndExterns:
     def test_call_ret_roundtrip(self):
         image = build("""
@@ -350,6 +407,28 @@ class TestDiagnostics:
         small = AnalysisConfig(observer_names=("address",), fuel=50)
         with pytest.raises(AnalysisError, match="fuel"):
             analyze(image, InputSpec(entry="main"), small)
+
+    def test_intern_tables_released_on_return_and_raise(self):
+        from repro.analysis.config import AnalysisError
+
+        image = build("""
+        .text
+        main:
+            mov ebx, [esi + eax*4]
+            add ebx, eax
+            ret
+        """)
+        spec = InputSpec(entry="main", registers=(
+            InputSpec.reg_high(EAX, range(8)),
+            InputSpec.reg_symbol(ESI, "table")))
+        analyze(image, spec, CONFIG)
+        assert masked.intern_size() == 0
+        assert valueset.intern_size() == 0
+        small = AnalysisConfig(observer_names=("address",), fuel=1)
+        with pytest.raises(AnalysisError, match="fuel"):
+            analyze(image, spec, small)
+        assert masked.intern_size() == 0
+        assert valueset.intern_size() == 0
 
     def test_widening_records_warning(self):
         image = build("""

@@ -177,6 +177,11 @@ def _fresh_run_state(image):
 @settings(max_examples=80, deadline=None)
 @given(parts=st.lists(_instruction, min_size=2, max_size=8))
 @example(parts=_EVERY_SHAPE)
+# A shift by a zero count keeps the flags and their provenance; with a
+# count in {0, 1} (EAX is in {0, 1, 2, 3}) the old flags join the new.
+@example(parts=[("cmp {}, {}", "eax", "eax"), ("shl {}, {}", "ebx", 0)])
+@example(parts=[("mov {}, {}", "ecx", "eax"), ("and {}, {}", "ecx", 1),
+                ("cmp {}, {}", "edx", "edx"), ("shl {}, cl", "ebx")])
 def test_specialized_block_matches_stepwise_transfer(parts):
     lines = [line for instruction_parts in parts
              for line in _render(instruction_parts)]

@@ -126,6 +126,20 @@ class TestAssembler:
         with pytest.raises(AssemblyError):
             image.read(0xDEAD0000, 4)
 
+    def test_size_that_depends_on_a_symbol_is_rejected(self):
+        # `table` sits at the data base, so the displacement folds to zero
+        # and encodes four bytes shorter than the layout reserved for it.
+        asm = parse_asm("""
+        .text
+        main:
+            mov eax, [esi + table - 0x080EB000]
+            ret
+        .data
+        table: .word 1
+        """)
+        with pytest.raises(AssemblyError, match="laid out as 8"):
+            asm.assemble()
+
 
 class TestParser:
     def test_basic_program(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.isa.asmparse import ParseError, parse_asm
 from repro.isa.codec import DecodeError, EncodeError, OPCODE_TABLE, decode, encode
 from repro.isa.instructions import Imm, Instruction, Mem, Reg
 from repro.isa.registers import Reg8
@@ -153,6 +154,25 @@ class TestErrors:
         mem = Mem(base=0, disp_label="table")
         with pytest.raises(EncodeError):
             encode(Instruction("mov", (Reg(0), mem)))
+
+    @pytest.mark.parametrize(("line", "error"), [
+        ("shl eax, ebx", EncodeError),  # was encoded as shl eax, cl
+        ("shl eax, bl", EncodeError),
+        ("movzx eax, ebx", EncodeError),  # was encoded as movzx eax, bl
+        ("sete eax", EncodeError),  # was encoded as sete al
+        ("imul eax, [esi + 4]", EncodeError),
+        ("imul eax, 5", EncodeError),
+        ("test [esi + 4], eax", EncodeError),
+        ("pop [esi + 4]", EncodeError),
+        ("lea eax, ebx", EncodeError),
+        ("push al", EncodeError),
+        ("jmp eax", EncodeError),
+        ("inc dword [esi + 4]", ParseError),  # not a label named "dword [..."
+        ("mov eax, [esi + two words]", ParseError),
+    ])
+    def test_unencodable_forms_raise_typed_errors(self, line, error):
+        with pytest.raises(error):
+            parse_asm(f".text\nmain:\n    {line}\n    ret\n").assemble()
 
 
 # ----------------------------------------------------------------------
