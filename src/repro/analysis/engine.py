@@ -13,12 +13,12 @@ compiler-generated, reducible kernels the paper analyzes:
   where identical projected traces collapse, per §6.4).
 
 Scheduling is implemented as a ``heapq`` worklist keyed by ``(frames..., pc)``
-plus a merge-key index: successors are merged into the pending configuration
-with the same ``(frames, pc)`` *at insertion time*, so the invariant "at most
-one pending configuration per merge key" holds without ever re-sorting or
-re-scanning the whole worklist.  Two configurations with equal order keys
-necessarily share a merge key, so merged-away entries never reach the heap
-and no lazy-deletion pass is needed.
+plus an index of the pending configurations by that same key: successors are
+merged into the pending configuration with the same key *at insertion time*,
+so the invariant "at most one pending configuration per key" holds without
+ever re-sorting or re-scanning the whole worklist.  The key determines the
+call frames and the pc and is determined by them, so merged-away entries
+never reach the heap and no lazy-deletion pass is needed.
 
 Loops must be concretely bounded (as in the analyzed kernels: loop counters
 are known constants, compared through flag inference or pointer offsets) —
@@ -118,7 +118,7 @@ class _ResourceGuard:
 class _Config:
     """One in-flight execution path (or merged bundle of paths)."""
 
-    __slots__ = ("frames", "pc", "state", "cursors", "order_key", "merge_key")
+    __slots__ = ("frames", "pc", "state", "cursors", "order_key")
 
     def __init__(self, frames: tuple[int, ...], pc: int, state: AbsState,
                  cursors: list[Cursor]) -> None:
@@ -126,8 +126,9 @@ class _Config:
         self.pc = pc
         self.state = state
         self.cursors = cursors  # positional, one slot per (kind, observer) DAG
+        # Orders the worklist and indexes the pending configurations: two
+        # configurations with equal keys share frames and pc, so they merge.
         self.order_key = frames + (pc,)
-        self.merge_key = (frames, pc)
 
 
 @dataclass(slots=True)
@@ -144,9 +145,15 @@ class SchedulerStats:
     it is built, the counters are deterministic per scenario and quantify
     how much sharing the interning layer achieves.
 
+    ``lift_memo_hits``/``lift_memo_misses`` count lookups of the run's
+    lifting memo (:class:`~repro.core.valueset.ValueSetOps`), which never
+    evicts: it lives and dies with the run's context.
+
     Every field lands in the result payload under its own name (see
     ``repro.sweep.runner._engine_metrics``), so adding, removing or
-    renaming one is a ``METRICS_SCHEMA`` change.
+    renaming one is a ``METRICS_SCHEMA`` change — except for a
+    mode-sensitive counter, which the golden result hashes leave out: it
+    keeps the schema (see the ``METRICS_SCHEMA`` comment).
     """
 
     peak_heap_size: int = 0
@@ -157,7 +164,6 @@ class SchedulerStats:
     projection_misses: int = 0
     lift_memo_hits: int = 0
     lift_memo_misses: int = 0
-    lift_memo_evictions: int = 0
     vs_intern_hits: int = 0
     vs_intern_misses: int = 0
     sym_intern_hits: int = 0
@@ -245,28 +251,9 @@ class Engine:
         # (AccessKind, name) tuples.
         self._dag_keys: list[DagKey] = list(self.dags)
         self._dag_slots: list[TraceDAG] = [self.dags[key] for key in self._dag_keys]
-        self._has_run = False
         slot_of = {key: slot for slot, key in enumerate(self._dag_keys)}
-        # Stats and the caches below are per-run (one shared reset, used by
-        # __init__ and again at the top of every run() so a reused Engine
-        # cannot accumulate one run's counters into an earlier EngineResult).
-        self._reset_run_state()
-        # Emit plan: for each access kind ("I"/"D"), every observer paired
-        # with the (dag, slot) pairs its projection feeds.  Built once so
-        # _emit does no per-access set algebra.
-        self._emit_plan: dict[str, list[tuple[Observer, list[tuple[TraceDAG, int]]]]] = {}
-        for access_kind, cache_kind in (("I", AccessKind.INSTRUCTION),
-                                        ("D", AccessKind.DATA)):
-            matched = {AccessKind.SHARED, cache_kind}
-            self._emit_plan[access_kind] = [
-                (observer,
-                 [(self.dags[(kind, observer.name)], slot_of[(kind, observer.name)])
-                  for kind in self.kinds if kind in matched])
-                for observer in self.observers
-            ]
-
-    def _reset_run_state(self) -> None:
-        """Fresh per-run stats and caches (the single list of both sites)."""
+        # An engine runs once (run() raises on a second call), so its DAGs,
+        # stats and the caches below all belong to that one run.
         self.stats = SchedulerStats()
         # Decoded instructions per pc.  Image.decode_at has its own
         # per-address cache; this front dict only skips the method-call
@@ -288,6 +275,19 @@ class Engine:
         self._label_intern: dict[ProjectedLabel, ProjectedLabel] = {}
         # The active configuration's cursor list, set per step by run().
         self._emit_cursors: list[Cursor] | None = None
+        # Emit plan: for each access kind ("I"/"D"), every observer paired
+        # with the (dag, slot) pairs its projection feeds.  Built once so
+        # _emit does no per-access set algebra.
+        self._emit_plan: dict[str, list[tuple[Observer, list[tuple[TraceDAG, int]]]]] = {}
+        for access_kind, cache_kind in (("I", AccessKind.INSTRUCTION),
+                                        ("D", AccessKind.DATA)):
+            matched = {AccessKind.SHARED, cache_kind}
+            self._emit_plan[access_kind] = [
+                (observer,
+                 [(self.dags[(kind, observer.name)], slot_of[(kind, observer.name)])
+                  for kind in self.kinds if kind in matched])
+                for observer in self.observers
+            ]
 
     # ------------------------------------------------------------------
     # Access routing
@@ -324,25 +324,28 @@ class Engine:
             for dag, slot in slots:
                 cursors[slot] = dag.access(cursors[slot], label)
 
-    def _emit_d_batch(self, addresses, cursors) -> None:
-        """Emit a specialized block's collected data accesses, batched.
+    def _project_runs(self, access_kind: str, addresses) -> list:
+        """Project a compiled block's address batch, run-length compressed.
 
-        ``addresses`` is the block body's data-access address sequence in
-        program order.  Per observer the addresses project through the same
-        cache (and counters) as the stepwise ``_emit``; consecutive equal
-        single labels collapse into run-length entries so each DAG advances
-        in one ``access_seq`` call per block execution instead of one
-        ``access`` per memory operand.  Per-kind access sequences are
-        unchanged — only the I/D interleaving differs, which no D-observing
-        DAG can see (the SHARED guard in ``run`` keeps mixed-kind DAGs on
-        the interpreter).
+        ``addresses`` is a block's fetch or data-access address sequence
+        (``access_kind`` "I" or "D") in program order.  Per observer the
+        addresses project through the same cache (and counters) as the
+        stepwise ``_emit``, and consecutive equal single labels collapse
+        into one ``[label, count]`` run, so each DAG advances in one
+        ``access_seq`` call per batch instead of one ``access`` per
+        address.  Returns one ``(slots, runs)`` pair per observer.
+
+        Per-kind access sequences are unchanged; only the I/D interleaving
+        differs, which no I- or D-observing DAG can see (the SHARED guard
+        in ``run`` keeps mixed-kind DAGs on the interpreter).
         """
         cache = self._projection_cache
         stats = self.stats
         table = self.context.table
         policy = self.context.config.projection_policy
         intern = self._label_intern
-        for observer, slots in self._emit_plan["D"]:
+        batches = []
+        for observer, slots in self._emit_plan[access_kind]:
             offset_bits = observer.offset_bits
             runs: list[list] = []
             last_label = None
@@ -361,48 +364,8 @@ class Engine:
                 else:
                     runs.append([label, 1])
                     last_label = label
-            for dag, slot in slots:
-                cursors[slot] = dag.access_seq(cursors[slot], runs)
-
-    def _block_i_runs(self, block):
-        """Project a specialized block's fetch sequence, run-length batched.
-
-        A block's fetch addresses are constants, so per observer the label
-        sequence is fixed for the whole run: project it once (through the
-        normal projection cache, with the usual counters), compress
-        consecutive equal labels, and cache the result on the bound block.
-        Consecutive fetches overwhelmingly project to the same label for
-        coarse observers (same line, same page), so later executions extend
-        each DAG's run-length entry in one ``access_run`` call per label
-        instead of one ``access`` per instruction.
-        """
-        cache = self._projection_cache
-        stats = self.stats
-        table = self.context.table
-        policy = self.context.config.projection_policy
-        i_runs = []
-        for observer, slots in self._emit_plan["I"]:
-            offset_bits = observer.offset_bits
-            runs: list[list] = []
-            last_label = None
-            for address in block.fetches:
-                cache_key = (address._id << 8) | offset_bits
-                label = cache.get(cache_key)
-                if label is not None:
-                    stats.projection_hits += 1
-                else:
-                    stats.projection_misses += 1
-                    label = project_value_set(address, offset_bits, table, policy)
-                    label = self._label_intern.setdefault(label, label)
-                    cache[cache_key] = label
-                if runs and label is last_label and label.is_single:
-                    runs[-1][1] += 1
-                else:
-                    runs.append([label, 1])
-                    last_label = label
-            i_runs.append((slots, [(label, length) for label, length in runs]))
-        block.i_runs = i_runs
-        return i_runs
+            batches.append((slots, runs))
+        return batches
 
     # ------------------------------------------------------------------
     # Instruction decode
@@ -422,7 +385,14 @@ class Engine:
     # Main loop
     # ------------------------------------------------------------------
     def run(self, entry: int, initial_state: AbsState) -> EngineResult:
-        """Explore every path from ``entry`` to the sentinel return."""
+        """Explore every path from ``entry`` to the sentinel return.
+
+        An engine runs once: a second call raises ``RuntimeError``.  Its
+        DAGs skip registry dedupe until the run's first fork, so a second
+        exploration from the root could commit keys they never registered.
+        """
+        if self.stats.peak_heap_size:  # set when a run starts
+            raise RuntimeError("an Engine runs once; build one per analysis")
         # Observability is annotation-only: spans/samples record wall-clock
         # *around* the phases below and never feed back into scheduling or
         # the abstract domain (the on/off catalogue differential enforces
@@ -438,18 +408,6 @@ class Engine:
             raise
 
     def _run(self, entry: int, initial_state: AbsState, run_span) -> EngineResult:
-        # Fresh per-run state: earlier EngineResults keep their own stats
-        # objects, and the per-run caches' counters stay consistent with the
-        # step count of *this* run.
-        self._reset_run_state()
-        if self._has_run:
-            # A re-run walks the shared DAGs from the root again and may
-            # repeat keys the (dedupe-off) first run never registered, so
-            # restore full registry dedupe before exploring.
-            for dag in self._dag_slots:
-                dag.enable_dedupe(backfill=True)
-        self._has_run = True
-
         # Compile tier: look up the specialized program for this (image,
         # entry).  Its blocks compile and bind one at a time, as they turn
         # hot in the exploration loop.
@@ -470,12 +428,12 @@ class Engine:
         root = _Config(frames=(), pc=entry, state=initial_state, cursors=cursors)
 
         # Worklist: a heap of (order_key, seq, config) plus an index of the
-        # pending configurations by merge key.  The seq tiebreaker keeps the
+        # pending configurations by order key.  The seq tiebreaker keeps the
         # heap from ever comparing _Config objects.  Peak-size bookkeeping
         # happens at push/insert time (sizes only grow there), keeping the
         # hot pop loop free of per-iteration max() calls.
         heap: list[tuple[tuple, int, _Config]] = []
-        pending: dict[tuple, _Config] = {root.merge_key: root}
+        pending: dict[tuple, _Config] = {root.order_key: root}
         heapq.heappush(heap, (root.order_key, 0, root))
         self.stats.peak_heap_size = 1
         result.max_configs = 1
@@ -552,7 +510,7 @@ class Engine:
             if guard is not None and result.steps >= guard.next_due:
                 guard.check(result.steps)
             _, _, config = heapq.heappop(heap)
-            del pending[config.merge_key]
+            del pending[config.order_key]
             if config.pc == SENTINEL_RETURN:
                 finished.append(config)
                 continue
@@ -571,17 +529,20 @@ class Engine:
                 # leaders, so no pending configuration can name them and
                 # atomic execution pops in the interpreted order.
                 if block is not None and result.steps + block.n_steps <= fuel:
-                    cursors = config.cursors
-                    i_runs = block.i_runs
-                    if i_runs is None:
-                        i_runs = self._block_i_runs(block)
-                    for slots, runs in i_runs:
-                        for dag, slot in slots:
-                            cursors[slot] = dag.access_seq(cursors[slot], runs)
+                    # The fetch batch projects once per run, on the block's
+                    # first compiled execution; the data batch every time.
+                    batches = block.i_runs
+                    if batches is None:
+                        batches = block.i_runs = self._project_runs(
+                            "I", block.fetches)
                     block.fn(config.state, d_append)
                     if d_log:
-                        self._emit_d_batch(d_log, cursors)
+                        batches = batches + self._project_runs("D", d_log)
                         d_log.clear()
+                    cursors = config.cursors
+                    for slots, runs in batches:
+                        for dag, slot in slots:
+                            cursors[slot] = dag.access_seq(cursors[slot], runs)
                     n_steps = block.n_steps
                     result.steps += n_steps
                     stats.spec_block_runs += 1
@@ -592,9 +553,9 @@ class Engine:
                         frames=config.frames, pc=block.end_pc,
                         state=config.state, cursors=config.cursors,
                     )
-                    existing = pending.get(candidate.merge_key)
+                    existing = pending.get(candidate.order_key)
                     if existing is None:
-                        pending[candidate.merge_key] = candidate
+                        pending[candidate.order_key] = candidate
                         if len(pending) > result.max_configs:
                             result.max_configs = len(pending)
                         heapq.heappush(
@@ -636,9 +597,9 @@ class Engine:
                     frames=frames, pc=successor.pc,
                     state=successor.state, cursors=new_cursors,
                 )
-                existing = pending.get(candidate.merge_key)
+                existing = pending.get(candidate.order_key)
                 if existing is None:
-                    pending[candidate.merge_key] = candidate
+                    pending[candidate.order_key] = candidate
                     if len(pending) > result.max_configs:
                         result.max_configs = len(pending)
                     heapq.heappush(heap, (candidate.order_key, next(seq), candidate))
@@ -659,8 +620,8 @@ class Engine:
                     result: EngineResult) -> None:
         """Merge ``incoming`` into the pending config with the same key.
 
-        The merged config keeps its heap position: equal merge keys imply
-        equal order keys, so its priority is unchanged.
+        The merged config keeps its heap position: the keys are equal, so
+        its priority is unchanged.
         """
         result.merges += 1
         existing.state = existing.state.join(incoming.state, self.context)
@@ -679,7 +640,6 @@ class Engine:
         ops = self.context.ops
         self.stats.lift_memo_hits = ops.memo_hits
         self.stats.lift_memo_misses = ops.memo_misses
-        self.stats.lift_memo_evictions = ops.memo_evictions
         vs_hits, vs_misses = valueset_intern_counters()
         self.stats.vs_intern_hits = vs_hits - vs_base[0]
         self.stats.vs_intern_misses = vs_misses - vs_base[1]

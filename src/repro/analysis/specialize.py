@@ -10,8 +10,8 @@ it gets one specialized Python function in which decode results and operand
 shapes are resolved at codegen time, immediate/register/memory operand paths
 are split, constants are folded into pre-materialized
 :class:`~repro.core.valueset.ValueSet` objects, and the transformer calls of
-``Transfer`` are inlined as direct calls to the bound
-:class:`~repro.core.valueset.ValueSetOps` methods.  Compiling on demand keeps
+``Transfer`` are inlined as direct calls to the
+:class:`~repro.core.valueset.ValueSetOps` liftings.  Compiling on demand keeps
 ``compile()`` off the many blocks that run only a few times per analysis,
 where it costs more than it saves.
 
@@ -32,7 +32,7 @@ unchanged with specialization on, off, or mixed):
   on the hard cases (forks, extern-clobber calls, fuel exhaustion).
 - Generated *code* is cached per ``(image fingerprint, entry)`` in a bounded
   :class:`~repro.core.lru.LRUCache`, filled block by block; a block is
-  *bound* (its ops methods and constant ValueSets materialized) by
+  *bound* (its liftings and constant ValueSets materialized) by
   :meth:`SpecializedProgram.bind` in every run that finds it hot, because
   :class:`~repro.analysis.state.AnalysisContext` clears the domain's intern
   tables — baking interned objects into the cache would desynchronize the
@@ -42,7 +42,7 @@ unchanged with specialization on, off, or mixed):
 
 Scheduling equivalence: interior addresses of a specialized prefix are never
 CFG leaders (every branch/call target and fall-through is a leader, and
-blocks are carved at leaders), so no pending configuration's merge key can
+blocks are carved at leaders), so no pending configuration's key can
 name them, and no order key can sort strictly between two consecutive
 straight-line pcs of the same frame stack — executing the prefix atomically
 pops in exactly the interpreted order and loses no merges.

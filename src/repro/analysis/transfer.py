@@ -35,6 +35,8 @@ SENTINEL_RETURN = 0xFFFF_FFF0
 
 # emit(kind, address_set, size): kind is "I" or "D"
 EmitFn = Callable[[str, ValueSet, int], None]
+# A two-operand lifting of ValueSetOps: (x, y) -> (result, flag outcomes)
+LiftFn = Callable[[ValueSet, ValueSet], tuple]
 
 
 class Successor:
@@ -55,15 +57,16 @@ class Transfer:
                  extern_clobbers: dict[int, str] | None = None):
         self.context = context
         self.image = image
-        self.ops = context.ops
+        ops = self.ops = context.ops
         self.extern_clobbers = extern_clobbers or {}
+        # The lifting of each two-operand ALU mnemonic, with its warning name.
+        self._alu = {"add": (ops.add, "ADD"), "sub": (ops.sub, "SUB"),
+                     "and": (ops.and_, "AND"), "or": (ops.or_, "OR"),
+                     "xor": (ops.xor, "XOR")}
 
     # ------------------------------------------------------------------
     # Operand helpers
     # ------------------------------------------------------------------
-    def _constant(self, value: int) -> ValueSet:
-        return ValueSet.constant(value, WIDTH)
-
     def _effective_address(self, state: AbsState, mem: Mem) -> ValueSet:
         """Evaluate ``base + index*scale + disp`` over value sets."""
         address: ValueSet | None = None
@@ -72,28 +75,35 @@ class Transfer:
         if mem.index is not None:
             index = state.regs[mem.index]
             if mem.scale != 1:
-                index = self._apply("MUL", index, self._constant(mem.scale))
-            address = index if address is None else self._apply("ADD", address, index)
+                index = self._apply(self.ops.mul, "MUL", index,
+                                    ValueSet.constant(mem.scale, WIDTH))
+            address = (index if address is None
+                       else self._apply(self.ops.add, "ADD", address, index))
         if address is None:
-            address = self._constant(mem.disp)
+            address = ValueSet.constant(mem.disp, WIDTH)
         elif mem.disp:
-            address = self._apply("ADD", address, self._constant(mem.disp))
+            address = self._apply(self.ops.add, "ADD", address,
+                                  ValueSet.constant(mem.disp, WIDTH))
         return address
 
-    def _apply(self, op_name: str, x: ValueSet, y: ValueSet | None) -> ValueSet:
-        """Apply an operation, widening to unknown on precision loss."""
+    def _apply(self, lift: LiftFn, name: str, x: ValueSet, y: ValueSet) -> ValueSet:
+        """Apply a lifting, widening to unknown on precision loss.
+
+        ``name`` is the operation's name in the widening warning.
+        """
         try:
-            return self.ops.apply(op_name, x, y)[0]
+            return lift(x, y)[0]
         except PrecisionLoss as loss:
-            return self.context.widened(f"{op_name}: {loss}")
+            return self.context.widened(f"{name}: {loss}")
 
     def _read_operand(self, state: AbsState, op, emit: EmitFn) -> ValueSet:
         if isinstance(op, Reg):
             return state.regs[op.reg]
         if isinstance(op, Reg8):
-            return self._apply("AND", state.regs[op.reg], self._constant(0xFF))
+            return self._apply(self.ops.and_, "AND", state.regs[op.reg],
+                               ValueSet.constant(0xFF, WIDTH))
         if isinstance(op, Imm):
-            return self._constant(op.value)
+            return ValueSet.constant(op.value, WIDTH)
         if isinstance(op, Mem):
             address = self._effective_address(state, op)
             emit("D", address, op.size)
@@ -105,9 +115,11 @@ class Transfer:
         if isinstance(op, Reg):
             self._set_reg(state, op.reg, value)
         elif isinstance(op, Reg8):
-            upper = self._apply("AND", state.regs[op.reg], self._constant(0xFFFFFF00))
-            low = self._apply("AND", value, self._constant(0xFF))
-            self._set_reg(state, op.reg, self._apply("OR", upper, low))
+            upper = self._apply(self.ops.and_, "AND", state.regs[op.reg],
+                                ValueSet.constant(0xFFFFFF00, WIDTH))
+            low = self._apply(self.ops.and_, "AND", value,
+                              ValueSet.constant(0xFF, WIDTH))
+            self._set_reg(state, op.reg, self._apply(self.ops.or_, "OR", upper, low))
         elif isinstance(op, Mem):
             address = self._effective_address(state, op)
             emit("D", address, op.size)
@@ -124,12 +136,14 @@ class Transfer:
     # ------------------------------------------------------------------
     # Flag helpers
     # ------------------------------------------------------------------
-    def _apply_with_flags(self, op_name: str, x: ValueSet, y: ValueSet | None):
+    def _apply_with_flags(self, lift: Callable[..., tuple], name: str,
+                          *operands: ValueSet):
+        """:meth:`_apply` that also returns the lifting's flag outcomes."""
         try:
-            result, flag_bits = self.ops.apply(op_name, x, y)
+            result, flag_bits = lift(*operands)
             return result, FlagState.from_flagbits(flag_bits)
         except PrecisionLoss as loss:
-            return self.context.widened(f"{op_name}: {loss}"), TOP_FLAGS
+            return self.context.widened(f"{name}: {loss}"), TOP_FLAGS
 
     @staticmethod
     def _preserve_cf(old: FlagState, new: FlagState) -> FlagState:
@@ -188,7 +202,7 @@ class Transfer:
         The instruction fetch is emitted here so that every path through this
         function contributes to the instruction-cache trace.
         """
-        emit("I", self._constant(instr.addr), instr.encoded_size)
+        emit("I", ValueSet.constant(instr.addr, WIDTH), instr.encoded_size)
         next_pc = instr.addr + instr.encoded_size
         mnemonic = instr.mnemonic
         ops = instr.operands
@@ -203,28 +217,31 @@ class Transfer:
             if isinstance(source, Mem):
                 value = self._read_operand(state, source, emit)
             else:
-                value = self._apply("AND", state.regs[source.reg], self._constant(0xFF))
-            value = self._apply("AND", value, self._constant(0xFF))
+                value = self._apply(self.ops.and_, "AND", state.regs[source.reg],
+                                    ValueSet.constant(0xFF, WIDTH))
+            value = self._apply(self.ops.and_, "AND", value,
+                                ValueSet.constant(0xFF, WIDTH))
             self._write_operand(state, ops[0], value, emit)
         elif mnemonic == "movb":
             mem = ops[0]
             if mem.size != 1:
                 mem = Mem(mem.base, mem.index, mem.scale, mem.disp, 1)
-            value = self._apply("AND", state.regs[ops[1].reg], self._constant(0xFF))
+            value = self._apply(self.ops.and_, "AND", state.regs[ops[1].reg],
+                                ValueSet.constant(0xFF, WIDTH))
             self._write_operand(state, mem, value, emit)
         elif mnemonic == "lea":
             self._set_reg(state, ops[0].reg, self._effective_address(state, ops[1]))
-        elif mnemonic in ("add", "sub", "and", "or", "xor"):
+        elif mnemonic in self._alu:
             x = self._read_operand(state, ops[0], emit)
             y = self._read_operand(state, ops[1], emit)
-            result, flags = self._apply_with_flags(mnemonic.upper(), x, y)
+            result, flags = self._apply_with_flags(*self._alu[mnemonic], x, y)
             state.flags = flags
             state.flag_source = None
             self._write_operand(state, ops[0], result, emit)
         elif mnemonic == "cmp":
             x = self._read_operand(state, ops[0], emit)
             y = self._read_operand(state, ops[1], emit)
-            _, flags = self._apply_with_flags("SUB", x, y)
+            _, flags = self._apply_with_flags(self.ops.sub, "SUB", x, y)
             state.flags = flags
             state.flag_source = (
                 FlagSource(ops[0].reg, "cmp", x, y) if isinstance(ops[0], Reg) else None
@@ -232,27 +249,28 @@ class Transfer:
         elif mnemonic == "test":
             x = self._read_operand(state, ops[0], emit)
             y = self._read_operand(state, ops[1], emit)
-            _, flags = self._apply_with_flags("AND", x, y)
+            _, flags = self._apply_with_flags(self.ops.and_, "AND", x, y)
             state.flags = flags
             same_reg = (isinstance(ops[0], Reg) and isinstance(ops[1], Reg)
                         and ops[0].reg == ops[1].reg)
             state.flag_source = FlagSource(ops[0].reg, "test", x, y) if same_reg else None
         elif mnemonic in ("inc", "dec"):
             x = self._read_operand(state, ops[0], emit)
-            op_name = "ADD" if mnemonic == "inc" else "SUB"
-            result, flags = self._apply_with_flags(op_name, x, self._constant(1))
+            lift, name = self._alu["add" if mnemonic == "inc" else "sub"]
+            result, flags = self._apply_with_flags(
+                lift, name, x, ValueSet.constant(1, WIDTH))
             state.flags = self._preserve_cf(state.flags, flags)
             state.flag_source = None
             self._write_operand(state, ops[0], result, emit)
         elif mnemonic == "neg":
             x = self._read_operand(state, ops[0], emit)
-            result, flags = self._apply_with_flags("NEG", x, None)
+            result, flags = self._apply_with_flags(self.ops.neg, "NEG", x)
             state.flags = flags
             state.flag_source = None
             self._write_operand(state, ops[0], result, emit)
         elif mnemonic == "not":
             x = self._read_operand(state, ops[0], emit)
-            result, _ = self._apply_with_flags("NOT", x, None)
+            result, _ = self._apply_with_flags(self.ops.not_, "NOT", x)
             self._write_operand(state, ops[0], result, emit)
         elif mnemonic in ("shl", "shr", "sar"):
             x = self._read_operand(state, ops[0], emit)
@@ -278,7 +296,7 @@ class Transfer:
             else:
                 x = self._read_operand(state, ops[1], emit)
                 y = self._read_operand(state, ops[2], emit)
-            result, flags = self._apply_with_flags("MUL", x, y)
+            result, flags = self._apply_with_flags(self.ops.mul, "MUL", x, y)
             state.flags = TOP_FLAGS  # x86 leaves ZF/SF undefined
             state.flag_source = None
             self._write_operand(state, ops[0], result, emit)
@@ -302,8 +320,10 @@ class Transfer:
             outcomes = state.flags.outcomes(condition)
             bits = {1 if outcome else 0 for outcome in outcomes}
             value = ValueSet.constants(bits, WIDTH)
-            upper = self._apply("AND", state.regs[ops[0].reg], self._constant(0xFFFFFF00))
-            self._set_reg(state, ops[0].reg, self._apply("OR", upper, value))
+            upper = self._apply(self.ops.and_, "AND", state.regs[ops[0].reg],
+                                ValueSet.constant(0xFFFFFF00, WIDTH))
+            self._set_reg(state, ops[0].reg,
+                          self._apply(self.ops.or_, "OR", upper, value))
         elif mnemonic.startswith("j"):
             condition = mnemonic[1:]
             outcomes = state.flags.outcomes(condition)
@@ -341,7 +361,7 @@ class Transfer:
             self._set_reg(state, EAX, ValueSet.constants(lows, WIDTH))
             self._set_reg(state, EDX, ValueSet.constants(highs, WIDTH))
         except ValueError:
-            self._set_reg(state, EAX, self._apply("MUL", x, y))
+            self._set_reg(state, EAX, self._apply(self.ops.mul, "MUL", x, y))
             self._set_reg(state, EDX, self.context.widened("mul high word"))
         state.flags = TOP_FLAGS
         state.flag_source = None
@@ -369,7 +389,8 @@ class Transfer:
         state.flag_source = None
 
     def _push(self, state: AbsState, value: ValueSet, emit: EmitFn) -> None:
-        new_esp = self._apply("SUB", state.regs[ESP], self._constant(4))
+        new_esp = self._apply(self.ops.sub, "SUB", state.regs[ESP],
+                              ValueSet.constant(4, WIDTH))
         self._set_reg(state, ESP, new_esp)
         emit("D", new_esp, 4)
         state.memory.write(new_esp, value, 4, self.context)
@@ -378,7 +399,8 @@ class Transfer:
         esp = state.regs[ESP]
         emit("D", esp, 4)
         value = state.memory.read(esp, 4, self.context)
-        self._set_reg(state, ESP, self._apply("ADD", esp, self._constant(4)))
+        self._set_reg(state, ESP, self._apply(self.ops.add, "ADD", esp,
+                                              ValueSet.constant(4, WIDTH)))
         return value
 
     def _call(self, state: AbsState, target: int, next_pc: int,
@@ -388,9 +410,9 @@ class Transfer:
             # Model the stub's own execution: push the return address, fetch
             # the stub, execute its RET (stack read), and clobber the
             # caller-saved registers with fresh unknowns.
-            self._push(state, self._constant(next_pc), emit)
+            self._push(state, ValueSet.constant(next_pc, WIDTH), emit)
             stub = self.image.decode_at(target)
-            emit("I", self._constant(target), stub.encoded_size)
+            emit("I", ValueSet.constant(target, WIDTH), stub.encoded_size)
             self._pop(state, emit)
             name = self.extern_clobbers[target]
             # EBX/ESI/EDI/ECX are callee-saved in the compiler's ABI.
@@ -399,7 +421,7 @@ class Transfer:
             state.flags = TOP_FLAGS
             state.flag_source = None
             return [Successor(next_pc, state)]
-        self._push(state, self._constant(next_pc), emit)
+        self._push(state, ValueSet.constant(next_pc, WIDTH), emit)
         return [Successor(target, state, frame_op="push")]
 
     def _ret(self, state: AbsState, emit: EmitFn) -> list[Successor]:

@@ -13,11 +13,12 @@ violation would falsify the implementation, so these tests double as the
 reproduction's soundness regression suite.
 
 :meth:`ConcreteValidator.check_adversaries` extends the same executable
-argument to the derived trace-/time-based adversaries: every concrete trace
-is replayed through a replacement-policy cache simulator and the number of
-distinct hit/miss traces (resp. total (hits, misses) pairs) is compared
-against the bounds of :mod:`repro.core.adversary`.  Because those bounds
-are policy-independent, the check can be run for every registered policy.
+argument to the derived trace-/time-based adversaries: every distinct
+concrete access stream is replayed through a replacement-policy cache
+simulator and the number of distinct hit/miss traces (resp. total (hits,
+misses) pairs) is compared against the bounds of
+:mod:`repro.core.adversary`.  Because those bounds are policy-independent,
+the check can be run for every registered policy.
 
 :meth:`ConcreteValidator.check_equivalence` is the correctness side of the
 countermeasure transformation subsystem (:mod:`repro.transform`): a
@@ -253,15 +254,18 @@ class ConcreteValidator:
         """Check the derived trace-/time-adversary bounds concretely.
 
         For every layout λ and every registered adversary bound, replays the
-        full secret enumeration through a fresh replacement-policy cache and
-        compares the number of distinct hit/miss (resp. timing) views
-        against the static bound.  ``policies`` defaults to the analysis
-        config's ``cache_policy``; pass several names to exercise the
+        secret enumeration's access streams through a fresh
+        replacement-policy cache and compares the number of distinct
+        hit/miss (resp. timing) views against the static bound.  A replay
+        depends only on the stream and a fresh cache, so each distinct
+        stream of a cache kind replays once, however many secrets share
+        it.  ``policies`` defaults to the analysis config's
+        ``cache_policy``; pass several names to exercise the
         policy-independence of the bounds.  The cache's line size follows
         the analysis geometry so block granularity matches.
 
         A ``probe`` bound (active LLC prime+probe spy) is checked by an
-        *interleaved* replay instead: for every secret, a fresh
+        *interleaved* replay instead: for every distinct stream, a fresh
         :class:`~repro.vm.cache.CacheHierarchy` (the config's ``hierarchy``
         shape, or the default two-core one, re-policied per sweep entry) is
         primed by a :class:`~repro.core.adversary.PrimeProbeSpy`, the
@@ -293,23 +297,29 @@ class ConcreteValidator:
             for lam in layouts:
                 # The concrete traces are policy- and model-independent: run
                 # the (expensive) secret enumeration once per layout and
-                # replay the traces through a fresh cache per (policy, bound).
+                # replay one trace per distinct stream through a fresh cache
+                # per (policy, bound).
                 traces = self._collect_traces(lam)
+                distinct: dict[str, dict[tuple, Trace]] = {}
                 for policy in policies:
                     def factory(policy=policy):
                         return SetAssociativeCache(cache_config, policy=policy)
                     for (kind, model), bound in result.report.adversaries.items():
                         if models is not None and model not in models:
                             continue
+                        code = _KIND_CODES[kind]
+                        streams = distinct.get(code)
+                        if streams is None:
+                            streams = distinct[code] = {
+                                trace.view(code, 0): trace for trace in traces}
                         if model == PROBE:
                             spec = hierarchy_spec.with_policy(policy)
                             observed = {
-                                spy_probe_view(trace.view(_KIND_CODES[kind], 0),
-                                               CacheHierarchy(spec))
-                                for trace in traces}
+                                spy_probe_view(stream, CacheHierarchy(spec))
+                                for stream in streams}
                         else:
                             observed = self._adversary_views(
-                                traces, _KIND_CODES[kind], model, factory)
+                                list(streams.values()), code, model, factory)
                         report.checked += 1
                         if len(observed) > bound.count:
                             report.violations.append(

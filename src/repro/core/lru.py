@@ -1,12 +1,14 @@
 """A small LRU cache shared by the repo's compile-tier memos.
 
-Both program-level caches — the source→:class:`~repro.isa.image.Image` memo
-of :func:`repro.lang.driver.compile_program` and the per-(image, entry)
-specialized-block cache of :mod:`repro.analysis.specialize` — are bounded by
-the same cap and use this class, so a long sweep over thousands of generated
-program variants cannot grow either cache without bound.  Evictions are
-counted (monotonically, per cache) and surfaced as a per-run delta on
-:class:`~repro.analysis.engine.SchedulerStats`.
+The program-level caches — the source→:class:`~repro.isa.image.Image` memo
+of :func:`repro.lang.driver.compile_program`, its transformed-variant
+counterpart :func:`repro.transform.pipeline.transformed_image`, and the
+per-(image, entry) specialized-block cache of :mod:`repro.analysis.specialize`
+— are bounded by the same cap and use this class, so a long sweep over
+thousands of generated program variants cannot grow any of them without
+bound.  Evictions are counted (monotonically, per cache); those of the
+compile memo and the specialized-block cache are surfaced as a per-run delta
+on :class:`~repro.analysis.engine.SchedulerStats`.
 
 Recency is tracked with an ``OrderedDict``: a hit moves the key to the MRU
 end, an insert beyond the cap evicts from the LRU end until the cache fits

@@ -149,30 +149,17 @@ class TraceDAG:
         self._dedupe = dedupe
         self._access_count = 0
 
-    def enable_dedupe(self, backfill: bool = False) -> None:
+    def enable_dedupe(self) -> None:
         """Start deduplicating commit keys (engine calls this at any fork).
 
         Keys committed while deduplication was off cannot recur afterwards
         *within the same exploration*: the pre-fork cursor is a single chain
         whose every commit has the freshly created previous vertex as its
         parent set, and post-fork commits descend from the open tail, whose
-        parent set never appeared in a committed key.  A *new* exploration
-        over the same DAG (an engine re-run) starts from the root again and
-        can legitimately repeat old keys — pass ``backfill=True`` there to
-        register every existing vertex first, restoring the full
-        idempotence of the always-deduping registry.
+        parent set never appeared in a committed key.  A second exploration
+        from the root could repeat old keys, which is why an engine (and
+        with it its DAGs) runs once.
         """
-        if backfill:
-            registry = self._registry
-            for vertex in self.vertices():
-                registry.setdefault(
-                    (vertex.parents, vertex.label, vertex.run),
-                    frozenset((vertex.ident,)))
-            stutter_registry = self._stutter_registry
-            for vertex in self.stutter_vertices():
-                stutter_registry.setdefault(
-                    (vertex.parents, vertex.label),
-                    frozenset((vertex.ident,)))
         self._dedupe = True
 
     # ------------------------------------------------------------------
@@ -253,60 +240,23 @@ class TraceDAG:
             ))
         return frozenset(survivors)
 
-    def access_run(self, cursor: Cursor, label: ProjectedLabel, count: int) -> Cursor:
-        """Extend ``cursor`` with ``count`` consecutive accesses of ``label``.
-
-        Exactly equivalent to calling :meth:`access` ``count`` times — the
-        batched form exists for the compile tier, whose specialized blocks
-        know their whole (constant) instruction-fetch sequence up front and
-        can therefore extend a run-length entry in one call instead of one
-        per fetch.  Only single labels extend runs; multi-labels take the
-        loop, which commits a vertex per access just as :meth:`access` does.
-        """
-        if count == 1 or not label.is_single:
-            while count > 1:
-                cursor = self.access(cursor, label)
-                count -= 1
-            return self.access(cursor, label)
-        self._access_count += count
-        if len(cursor) == 1:
-            (entry,) = cursor
-            parents, stutter_parents, entry_label, run = entry
-            if entry_label is label or entry_label == label:
-                return frozenset(((parents, stutter_parents, label, run + count),))
-            exact_ids, stutter_ids = self._commit(
-                parents, stutter_parents, entry_label, run)
-            return frozenset(((exact_ids, stutter_ids, label, count),))
-        survivors: set[Entry] = set()
-        pending_exact: set[int] = set()
-        pending_stutter: set[int] = set()
-        for parents, stutter_parents, entry_label, run in cursor:
-            if entry_label is label or entry_label == label:
-                survivors.add((parents, stutter_parents, label, run + count))
-                continue
-            exact_ids, stutter_ids = self._commit(
-                parents, stutter_parents, entry_label, run)
-            pending_exact |= exact_ids
-            pending_stutter |= stutter_ids
-        if pending_exact:
-            survivors.add((
-                frozenset(pending_exact), frozenset(pending_stutter), label, count,
-            ))
-        return frozenset(survivors)
-
     def access_seq(self, cursor: Cursor, runs: list) -> Cursor:
         """Extend ``cursor`` with a whole run-length-encoded access sequence.
 
         ``runs`` is a list of ``(label, count)`` pairs; the result is exactly
-        ``access_run`` applied to each pair in order.  For the single-entry
-        cursor the loop keeps the entry unpacked and rebuilds the frozenset
-        once at the end — the compile tier pushes a specialized block's whole
-        fetch sequence through here in one call, so the per-access cursor
-        churn of the stepwise path is what this removes.
+        :meth:`access` applied ``count`` times per pair, in order.  For the
+        single-entry cursor the loop keeps the entry unpacked and rebuilds
+        the frozenset once at the end — the compile tier pushes a
+        specialized block's whole fetch sequence through here in one call,
+        so the per-access cursor churn of the stepwise path is what this
+        removes.  A multi-entry cursor (only after a merge) takes the
+        stepwise path.
         """
         if len(cursor) != 1:
+            access = self.access
             for label, count in runs:
-                cursor = self.access_run(cursor, label, count)
+                for _ in range(count):
+                    cursor = access(cursor, label)
             return cursor
         ((parents, stutter_parents, entry_label, run),) = cursor
         if (not self._dedupe and len(parents) == 1

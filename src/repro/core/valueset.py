@@ -15,26 +15,19 @@ returning meaningless bounds.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable
 
 from repro.core import masked as masked_mod
-from repro.core.lru import LRUCache
 from repro.core.masked import FlagBits, MaskedOps, MaskedSymbol
 
 __all__ = ["ValueSet", "ValueSetOps", "PrecisionLoss", "DEFAULT_SET_CAP",
-           "KEPT_FLAGS", "LIFT_MEMO_CAP", "intern_clear", "intern_counters",
-           "intern_size"]
+           "KEPT_FLAGS", "intern_clear", "intern_counters", "intern_size"]
 
 DEFAULT_SET_CAP = 64
 
 # The flag outcome of a shift by a zero count, which leaves the flags alone.
 KEPT_FLAGS = None
-
-# Cap of the per-context lifting memo.  Sized an order of magnitude above the
-# distinct-lifting count of the heaviest catalogue scenario, so in practice
-# nothing evicts (the memo exists for sharing, the bound for long-lived
-# embedding processes); evictions are surfaced as ``lift_memo_evictions``.
-LIFT_MEMO_CAP = 1 << 18
 
 # Hash-consing: one canonical ValueSet per element frozenset, carrying a
 # precomputed hash (same value as the historical ``hash(self.elements)``) and
@@ -216,31 +209,34 @@ class ValueSetOps:
     symbols it allocated) instead of recomputing the pairwise product.
     This is the set-level counterpart of the §5.4.2 succ-table reuse and is
     what keeps repeated loop bodies from recomputing identical products.
+
+    The memo is a plain dict that lives and dies with this object (one per
+    :class:`~repro.analysis.state.AnalysisContext`, like the intern tables)
+    and never evicts: a recomputed lifting would allocate new fresh symbols
+    where the memo returns the first ones, so an eviction could only change
+    results.  ``memo_hits`` and ``memo_misses`` count its lookups.
+
+    ``add``, ``sub``, ``mul``, ``and_``, ``or_``, ``not_`` and ``neg`` are
+    the liftings themselves, bound once per object, so a lifted operation is
+    one Python frame; ``xor`` and ``shift`` are methods.
     """
 
     def __init__(self, masked_ops: MaskedOps, cap: int = DEFAULT_SET_CAP) -> None:
         self.masked = masked_ops
         self.cap = cap
         self.width = masked_ops.width
-        self._memo: LRUCache = LRUCache(LIFT_MEMO_CAP)
-        self._dispatch = {
-            "AND": self.and_, "OR": self.or_, "XOR": self.xor,
-            "ADD": self.add, "SUB": self.sub, "MUL": self.mul,
-        }
-
-    # Memo counters live on the LRU (its get/put increments them); the
-    # historical attribute names stay as read-only views.
-    @property
-    def memo_hits(self) -> int:
-        return self._memo.hits
-
-    @property
-    def memo_misses(self) -> int:
-        return self._memo.misses
-
-    @property
-    def memo_evictions(self) -> int:
-        return self._memo.evictions
+        self._memo: dict = {}
+        self.memo_hits = 0
+        self.memo_misses = 0
+        self._shift_ops = {"SHL": masked_ops.shl, "SHR": masked_ops.shr,
+                           "SAR": masked_ops.sar}
+        self.add = partial(self._lift_binary, "ADD", masked_ops.add)
+        self.sub = partial(self._lift_binary, "SUB", masked_ops.sub)
+        self.mul = partial(self._lift_binary, "MUL", masked_ops.mul)
+        self.and_ = partial(self._lift_boolean, "AND", masked_ops.and_)
+        self.or_ = partial(self._lift_boolean, "OR", masked_ops.or_)
+        self.not_ = partial(self._lift_unary, "NOT", masked_ops.not_)
+        self.neg = partial(self._lift_unary, "NEG", masked_ops.neg)
 
     def _lift_binary(
         self,
@@ -249,16 +245,19 @@ class ValueSetOps:
         x: ValueSet,
         y: ValueSet,
     ) -> tuple[ValueSet, frozenset[FlagBits]]:
+        """Lifted ADD/SUB/MUL: ``op`` on every pair of the product."""
         memo_key = (op_name, x._id, y._id)
         cached = self._memo.get(memo_key)
         if cached is not None:
+            self.memo_hits += 1
             return cached
+        self.memo_misses += 1
         if x.is_singleton and y.is_singleton:
             # Degenerate 1×1 product: no set bookkeeping, no cap checks
             # (a singleton result can never exceed the cap).
             value, flag = op(next(iter(x.elements)), next(iter(y.elements)))
-            lifted = (ValueSet((value,)), frozenset((flag,)))
-            self._memo.put(memo_key, lifted)
+            lifted = self._memo[memo_key] = (ValueSet((value,)),
+                                             frozenset((flag,)))
             return lifted
         if len(x) * len(y) > self.cap * self.cap:
             raise PrecisionLoss(
@@ -281,8 +280,7 @@ class ValueSetOps:
             raise PrecisionLoss(
                 f"value set exceeded cap {self.cap} ({len(results)} elements)"
             )
-        lifted = (ValueSet(results), frozenset(flags))
-        self._memo.put(memo_key, lifted)
+        lifted = self._memo[memo_key] = (ValueSet(results), frozenset(flags))
         return lifted
 
     def _lift_unary(
@@ -291,33 +289,31 @@ class ValueSetOps:
         op: Callable[[MaskedSymbol], tuple[MaskedSymbol, FlagBits]],
         x: ValueSet,
     ) -> tuple[ValueSet, frozenset[FlagBits]]:
+        """Lifted NOT/NEG: ``op`` on every element."""
         memo_key = (op_name, x._id)
         cached = self._memo.get(memo_key)
         if cached is not None:
+            self.memo_hits += 1
             return cached
+        self.memo_misses += 1
         results: set[MaskedSymbol] = set()
         flags: set[FlagBits] = set()
         for element in x:
             value, flag = op(element)
             results.add(value)
             flags.add(flag)
-        lifted = (ValueSet(results), frozenset(flags))
-        self._memo.put(memo_key, lifted)
+        lifted = self._memo[memo_key] = (ValueSet(results), frozenset(flags))
         return lifted
 
-    # ------------------------------------------------------------------
-    # Lifted operations
-    # ------------------------------------------------------------------
-    def and_(self, x: ValueSet, y: ValueSet):
-        """Lifted bitwise AND (bulk-inlined product, same memo/cap rules)."""
-        return self._lift_boolean("AND", x, y)
-
-    def or_(self, x: ValueSet, y: ValueSet):
-        """Lifted bitwise OR (bulk-inlined product, same memo/cap rules)."""
-        return self._lift_boolean("OR", x, y)
-
-    def _lift_boolean(self, op_name: str, x: ValueSet, y: ValueSet):
-        """AND/OR through :meth:`MaskedOps.boolean_bulk` (the XOR treatment).
+    def _lift_boolean(
+        self,
+        op_name: str,
+        op: Callable[[MaskedSymbol, MaskedSymbol], tuple[MaskedSymbol, FlagBits]],
+        x: ValueSet,
+        y: ValueSet,
+    ) -> tuple[ValueSet, frozenset[FlagBits]]:
+        """Lifted AND/OR through :meth:`MaskedOps.boolean_bulk` (the XOR
+        treatment).
 
         The masking-heavy paths — byte extraction (``movzx``/``movb``/Reg8
         writes), address alignment, and the SETcc merge — all funnel through
@@ -328,12 +324,13 @@ class ValueSetOps:
         memo_key = (op_name, x._id, y._id)
         cached = self._memo.get(memo_key)
         if cached is not None:
+            self.memo_hits += 1
             return cached
+        self.memo_misses += 1
         if x.is_singleton and y.is_singleton:
-            op = self.masked.and_ if op_name == "AND" else self.masked.or_
             value, flag = op(next(iter(x.elements)), next(iter(y.elements)))
-            lifted = (ValueSet((value,)), frozenset((flag,)))
-            self._memo.put(memo_key, lifted)
+            lifted = self._memo[memo_key] = (ValueSet((value,)),
+                                             frozenset((flag,)))
             return lifted
         if len(x) * len(y) > self.cap * self.cap:
             raise PrecisionLoss(
@@ -342,30 +339,23 @@ class ValueSetOps:
         results, flags = self.masked.boolean_bulk(op_name, x.elements, y.elements)
         return self._finalize_lift(memo_key, results, flags)
 
+    # ------------------------------------------------------------------
+    # Lifted operations (beside the bound liftings of __init__)
+    # ------------------------------------------------------------------
     def xor(self, x: ValueSet, y: ValueSet):
         """Lifted bitwise XOR (bulk-inlined product, same memo/cap rules)."""
         memo_key = ("XOR", x._id, y._id)
         cached = self._memo.get(memo_key)
         if cached is not None:
+            self.memo_hits += 1
             return cached
+        self.memo_misses += 1
         if len(x) * len(y) > self.cap * self.cap:
             raise PrecisionLoss(
                 f"operand product too large: {len(x)} x {len(y)} masked symbols"
             )
         results, flags = self.masked.xor_bulk(x.elements, y.elements)
         return self._finalize_lift(memo_key, results, flags)
-
-    def add(self, x: ValueSet, y: ValueSet):
-        """Lifted addition."""
-        return self._lift_binary("ADD", self.masked.add, x, y)
-
-    def sub(self, x: ValueSet, y: ValueSet):
-        """Lifted subtraction."""
-        return self._lift_binary("SUB", self.masked.sub, x, y)
-
-    def mul(self, x: ValueSet, y: ValueSet):
-        """Lifted multiplication."""
-        return self._lift_binary("MUL", self.masked.mul, x, y)
 
     def cmp(self, x: ValueSet, y: ValueSet) -> frozenset[FlagBits]:
         """Lifted comparison: the set of possible flag outcomes."""
@@ -374,14 +364,6 @@ class ValueSetOps:
     def test(self, x: ValueSet, y: ValueSet) -> frozenset[FlagBits]:
         """x86 TEST: flags of bitwise AND without storing the result."""
         return self.and_(x, y)[1]
-
-    def not_(self, x: ValueSet):
-        """Lifted bitwise NOT."""
-        return self._lift_unary("NOT", self.masked.not_, x)
-
-    def neg(self, x: ValueSet):
-        """Lifted negation."""
-        return self._lift_unary("NEG", self.masked.neg, x)
 
     def shift(self, op_name: str, x: ValueSet, amounts: ValueSet):
         """Lifted SHL/SHR/SAR; the shift count must be fully known.
@@ -398,12 +380,13 @@ class ValueSetOps:
         fresh-symbol allocation order — and with it every downstream count —
         stays bit-identical.
         """
-        ops = {"SHL": self.masked.shl, "SHR": self.masked.shr, "SAR": self.masked.sar}
-        shift_op = ops[op_name]
         memo_key = (op_name, amounts._id, x._id)
         cached = self._memo.get(memo_key)
         if cached is not None:
+            self.memo_hits += 1
             return cached
+        self.memo_misses += 1
+        shift_op = self._shift_ops[op_name]
         counts = amounts.constant_values()
         results: set[MaskedSymbol] = set()
         flags: set[FlagBits] = set()
@@ -414,16 +397,3 @@ class ValueSetOps:
                 results.add(value)
                 flags.add(flag if count else KEPT_FLAGS)
         return self._finalize_lift(memo_key, results, flags)
-
-    def apply(self, op_name: str, x: ValueSet, y: ValueSet | None):
-        """Apply a named operation (used by the abstract transfer function)."""
-        binary = self._dispatch.get(op_name)
-        if binary is not None:
-            return binary(x, y)
-        if op_name in ("SHL", "SHR", "SAR"):
-            return self.shift(op_name, x, y)
-        if op_name == "NOT":
-            return self.not_(x)
-        if op_name == "NEG":
-            return self.neg(x)
-        raise ValueError(f"unknown operation {op_name}")

@@ -53,7 +53,10 @@ STORE_VERSION = 1
 # (zero with the tier off), which the catalogue golden's result hashes leave
 # out while hashing the schema number itself, so a bump would have rewritten
 # every golden hash without any computed value changing.  Entries stored
-# with those keys only carry three extra execution counters.
+# with those keys only carry three extra execution counters.  Removing
+# ``lift_memo_evictions`` (the lifting memo no longer evicts, so the counter
+# read 0 everywhere) keeps schema 2 for the same reason: it is mode-sensitive
+# too, and entries stored with it carry one extra zero.
 METRICS_SCHEMA = 2
 
 

@@ -5,14 +5,15 @@ the entry point, the names of the secret parameters (derived from the input
 spec's ``high_values`` argument positions), and the layout directives that
 :func:`repro.lang.driver.compile_ir_program` forwards to the code generator.
 Passes mutate the unit; :func:`transformed_image` runs a whole pipeline and
-assembles the result, behind a FIFO-evicting cache keyed like the driver's
-compile cache (source × pipeline fingerprint × options).
+assembles the result, behind an LRU cache keyed like the driver's compile
+cache (source × pipeline fingerprint × options) and capped like it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.lru import DEFAULT_CACHE_CAP, LRUCache
 from repro.isa.image import Image
 from repro.lang.driver import compile_ir_program
 from repro.obs import trace as obs_trace
@@ -147,8 +148,7 @@ def apply_pipeline(unit: TransformUnit, specs) -> TransformUnit:
 # Cached source → transformed image compilation
 # ----------------------------------------------------------------------
 
-_IMAGE_CACHE: dict[tuple, Image] = {}
-_IMAGE_CACHE_MAX = 128
+_IMAGE_CACHE = LRUCache(DEFAULT_CACHE_CAP)
 
 
 def _cache_key(source: str, specs: tuple[TransformSpec, ...], entry: str,
@@ -167,7 +167,9 @@ def transformed_image(source: str, transforms, entry: str, secret_args=(),
 
     The counterpart of :func:`repro.lang.driver.compile_program` for
     transformed variants: same caching discipline (images are immutable
-    after assembly), with the pipeline fingerprint joining the cache key.
+    after assembly; an :class:`~repro.core.lru.LRUCache` capped at
+    ``DEFAULT_CACHE_CAP``), with the pipeline fingerprint joining the cache
+    key.
     """
     specs = as_specs(transforms)
     key = _cache_key(source, specs, entry, tuple(secret_args), opt_level,
@@ -181,7 +183,5 @@ def transformed_image(source: str, transforms, entry: str, secret_args=(),
             apply_pipeline(unit, specs)
             image = compile_ir_program(unit.program, opt_level=opt_level,
                                        **unit.layout)
-        if len(_IMAGE_CACHE) >= _IMAGE_CACHE_MAX:
-            _IMAGE_CACHE.pop(next(iter(_IMAGE_CACHE)))
-        _IMAGE_CACHE[key] = image
+        _IMAGE_CACHE.put(key, image)
     return image

@@ -1,7 +1,10 @@
 """The heapq worklist engine: scheduler statistics, the no-full-sort
 guarantee, and per-(observer, kind) projection routing in ``_emit``."""
 
+import dataclasses
 import inspect
+
+import pytest
 
 from repro.analysis.analyzer import analyze
 from repro.analysis.config import AnalysisConfig, InputSpec
@@ -51,7 +54,10 @@ class TestSchedulerStats:
         assert engine_result.max_configs >= 2
 
     def test_reused_engine_keeps_per_run_stats(self):
-        """A second run() must not accumulate into the first run's stats."""
+        """An engine runs once.  Its DAGs skip registry dedupe until the
+        first fork, so a second run() from the root could commit keys the
+        first run never registered: it raises, and leaves the first run's
+        stats and DAGs as they were."""
         from repro.analysis.analyzer import build_initial_state
         from repro.analysis.state import AnalysisContext
         from repro.analysis.transfer import Transfer
@@ -64,15 +70,15 @@ class TestSchedulerStats:
 
         state_one, _ = build_initial_state(context, target.spec, target.image)
         first = engine.run(entry, state_one)
-        first_decodes = first.scheduler.decode_hits + first.scheduler.decode_misses
+        stats = dataclasses.replace(first.scheduler)
+        sizes = {key: dag.size for key, dag in engine.dags.items()}
+        assert (stats.decode_hits + stats.decode_misses) == first.steps
 
         state_two, _ = build_initial_state(context, target.spec, target.image)
-        second = engine.run(entry, state_two)
-
-        assert first.scheduler is not second.scheduler
-        assert first_decodes == first.scheduler.decode_hits + first.scheduler.decode_misses
-        assert (second.scheduler.decode_hits + second.scheduler.decode_misses
-                == second.steps)
+        with pytest.raises(RuntimeError, match="runs once"):
+            engine.run(entry, state_two)
+        assert first.scheduler == stats
+        assert {key: dag.size for key, dag in engine.dags.items()} == sizes
 
 
 class TestEmitProjections:

@@ -5,8 +5,9 @@ real cross-core leak and its closure by hardening."""
 
 import pytest
 
+from repro.analysis import validation
 from repro.analysis.analyzer import analyze
-from repro.analysis.validation import ConcreteValidator
+from repro.analysis.validation import ConcreteValidator, ValidationReport
 from repro.casestudy import targets
 from repro.casestudy.scenarios import hierarchy_scenarios
 from repro.core.adversary import PROBE, spy_probe_view
@@ -56,6 +57,28 @@ class TestProbeBoundSoundness:
             hierarchy=HierarchySpec.from_wire(scenario.hierarchy))
         assert outcome.checked == len(POLICY_SWEEP)
         assert outcome.ok, outcome.violations
+
+    def test_each_distinct_stream_replays_once(self, analyses, monkeypatch):
+        """A spy replay depends only on the victim's stream and a fresh
+        hierarchy.  Preloading makes all 256 secrets of the first layout
+        share one stream, so the spy replays it once per policy (3 replays,
+        not 256 x 3) and the report is the all-clear one."""
+        scenario = CATALOGUE["aes-O2-64B-preload-aligned-llc-incl-lru"]
+        target, result = analyses(scenario)
+        replays = []
+
+        def counted(addresses, hierarchy, core=0):
+            replays.append(len(addresses))
+            return spy_probe_view(addresses, hierarchy, core)
+
+        monkeypatch.setattr(validation, "spy_probe_view", counted)
+        validator = ConcreteValidator(target.image, target.spec)
+        outcome = validator.check_adversaries(
+            result, targets.default_layouts(target.name)[:1],
+            policies=POLICY_SWEEP, models=(PROBE,),
+            hierarchy=HierarchySpec.from_wire(scenario.hierarchy))
+        assert len(replays) == len(POLICY_SWEEP)
+        assert outcome == ValidationReport(checked=len(POLICY_SWEEP))
 
 
 class TestCrossCoreLeakAndClosure:

@@ -114,10 +114,10 @@ class TestInternCountersOnStats:
 class TestReusedEngineDagIdempotence:
     """A re-run on a reused Engine must not duplicate DAG chains.
 
-    Engine DAGs skip registry dedupe until the first fork; a *second*
-    ``run()`` starts from the root again and may repeat keys the fork-free
-    first run never registered — the engine backfills the registries before
-    re-exploring, restoring the always-deduping registry's idempotence."""
+    Engine DAGs skip registry dedupe until the first fork, so a *second*
+    ``run()`` from the root could commit keys the fork-free first run never
+    registered.  An engine runs once: the second call raises before it
+    touches the DAGs, which keep the first run's sizes and counts."""
 
     PROGRAM = """
     .text
@@ -129,6 +129,8 @@ class TestReusedEngineDagIdempotence:
     """
 
     def test_fork_free_rerun_does_not_grow_the_dags(self):
+        import pytest
+
         from repro.analysis.analyzer import build_initial_state
         from repro.analysis.config import AnalysisConfig, InputSpec
         from repro.analysis.engine import Engine
@@ -148,13 +150,15 @@ class TestReusedEngineDagIdempotence:
         first = engine.run(entry, state_one)
         assert first.forks == 0  # fork-free: dedupe stayed off in run 1
         sizes = {key: dag.size for key, dag in engine.dags.items()}
+        counts = {key: dag.count(first.final_vertices[key])
+                  for key, dag in engine.dags.items()}
 
         state_two, _ = build_initial_state(context, spec, image)
-        second = engine.run(entry, state_two)
+        with pytest.raises(RuntimeError, match="runs once"):
+            engine.run(entry, state_two)
         assert {key: dag.size for key, dag in engine.dags.items()} == sizes
         for key, dag in engine.dags.items():
-            assert (dag.count(second.final_vertices[key])
-                    == dag.count(first.final_vertices[key]))
+            assert dag.count(first.final_vertices[key]) == counts[key]
 
 
 class TestJoinFastPathsKeepWidening:

@@ -54,7 +54,7 @@ MODE_SENSITIVE_METRICS = frozenset((
     "cache_evictions",
     "decode_hits", "decode_misses",
     "projection_hits", "projection_misses",
-    "lift_memo_hits", "lift_memo_misses", "lift_memo_evictions",
+    "lift_memo_hits", "lift_memo_misses",
     "vs_intern_hits", "vs_intern_misses",
     "sym_intern_hits", "sym_intern_misses",
 ))

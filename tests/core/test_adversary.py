@@ -2,6 +2,8 @@
 derivations, the block-trace determinism argument across replacement
 policies, and the end-to-end analyzer/validator integration."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.analyzer import analyze
@@ -274,6 +276,59 @@ class TestAnalyzerIntegration:
         # 3 policies x 2 layouts x 4 (kind, model) bounds
         assert outcome.checked == 3 * 2 * 4
         assert outcome.ok, outcome.violations
+
+    def test_distinct_streams_replay_once_with_every_trace_views(
+            self, monkeypatch):
+        """Four secrets, two distinct streams per cache kind: the validator
+        replays each distinct stream once and reports exactly what a replay
+        of every trace reports.  Bounds of 1 make every leaking bound a
+        violation that names its observed view count."""
+        image = parse_asm(ASM).assemble()
+        spec = InputSpec(entry="main", registers=(
+            InputSpec.reg_high(EAX, [0, 1, 2, 3]),
+            InputSpec.reg_symbol(ESI, "x"),
+        ))
+        result = analyze(image, spec, AnalysisConfig())
+        for key, bound in list(result.report.adversaries.items()):
+            monkeypatch.setitem(result.report.adversaries, key,
+                                dataclasses.replace(bound, count=1))
+        layouts = [{"x": 0x9000000}, {"x": 0x9000040}]
+        policies = tuple(sorted(POLICIES))
+        validator = ConcreteValidator(image, spec)
+        line_bytes = result.context.config.geometry.line_bytes
+        config = CacheConfig(line_bytes=line_bytes, banks=min(16, line_bytes))
+        codes = {AccessKind.INSTRUCTION: "I", AccessKind.DATA: "D"}
+        expected = []
+        for lam in layouts:
+            traces = validator._collect_traces(lam)
+            for policy in policies:
+                for (kind, model), bound in result.report.adversaries.items():
+                    view = (Trace.hit_miss_view if model == "trace"
+                            else Trace.time_view)
+                    observed = {
+                        view(trace, codes[kind],
+                             SetAssociativeCache(config, policy))
+                        for trace in traces}
+                    if len(observed) > 1:
+                        expected.append(
+                            f"{kind.value}/{model}/{policy}: observed "
+                            f"{len(observed)} views > bound 1 for λ={lam}")
+        assert expected  # the program leaks: the check is not vacuous
+
+        replays = []
+        hit_miss_view = Trace.hit_miss_view
+
+        def counted(trace, cache_kind, cache):
+            replays.append(cache_kind)
+            return hit_miss_view(trace, cache_kind, cache)
+
+        monkeypatch.setattr(Trace, "hit_miss_view", counted)
+        outcome = validator.check_adversaries(result, layouts,
+                                              policies=policies)
+        assert outcome.checked == len(layouts) * len(policies) * 4
+        assert outcome.violations == expected
+        # 2 layouts x 3 policies x 4 bounds x 2 distinct streams, not x 4.
+        assert len(replays) == len(layouts) * len(policies) * 4 * 2
 
     def test_report_formats_adversary_table(self, result):
         table = result.report.format_full_table()

@@ -166,15 +166,14 @@ class TestLiftedOpEquivalence:
                     min_size=1, max_size=4),
            st.lists(st.integers(min_value=0, max_value=FULL),
                     min_size=1, max_size=4),
-           st.sampled_from(["AND", "OR", "XOR", "ADD", "SUB", "MUL"]))
+           st.sampled_from(["and_", "or_", "xor", "add", "sub", "mul"]))
     @settings(max_examples=60)
     def test_binary_ops_value_equal_across_intern_generations(
             self, xs, ys, op_name):
         def run():
             ops = ValueSetOps(MaskedOps(SymbolTable(width=WIDTH)), cap=64)
-            result, flags = ops.apply(
-                op_name, ValueSet.constants(xs, WIDTH),
-                ValueSet.constants(ys, WIDTH))
+            result, flags = getattr(ops, op_name)(
+                ValueSet.constants(xs, WIDTH), ValueSet.constants(ys, WIDTH))
             return result.constant_values(), flags
 
         first_values, first_flags = run()

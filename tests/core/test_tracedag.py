@@ -269,7 +269,7 @@ def _fields(vertex):
 
 
 class TestBatchedAccesses:
-    """``access_seq`` and ``access_run`` are exactly repeated ``access``."""
+    """``access_seq`` is exactly repeated ``access``."""
 
     @staticmethod
     def _start(start):
@@ -285,16 +285,13 @@ class TestBatchedAccesses:
     @settings(max_examples=60, deadline=None)
     @given(start=st.sampled_from(["chain", "root", "merged"]),
            prefix=_RUNS, runs=_RUNS)
-    def test_seq_run_and_access_agree(self, start, prefix, runs):
+    def test_seq_and_access_agree(self, start, prefix, runs):
         outcomes = []
-        for way in ("seq", "run", "access"):
+        for way in ("seq", "access"):
             dag, cursor = self._start(start)
             for batch in (prefix, runs):
                 if way == "seq":
                     cursor = dag.access_seq(cursor, batch)
-                elif way == "run":
-                    for access, count in batch:
-                        cursor = dag.access_run(cursor, access, count)
                 else:
                     for access, count in batch:
                         for _ in range(count):
@@ -307,7 +304,7 @@ class TestBatchedAccesses:
                 [_fields(vertex) for vertex in dag.vertices()],
                 [_fields(vertex) for vertex in dag.stutter_vertices()],
             ))
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0] == outcomes[1]
 
 
 class TestColumnarStorage:
@@ -353,7 +350,7 @@ def _explore_three_arms(dag):
     one stuttering vertex), so the two DAGs number them differently."""
     cursor = dag.access_seq(dag.root_cursor(), [(A, 1), (B, 1)])
     dag.enable_dedupe()
-    arms = [dag.access(cursor, C), dag.access_run(cursor, C, 2),
+    arms = [dag.access(cursor, C), dag.access(dag.access(cursor, C), C),
             dag.access(cursor, D)]
     cursor = dag.merge(dag.merge(arms[0], arms[1]), arms[2])
     return dag.finalize(dag.access(dag.access(cursor, E), F))
@@ -394,18 +391,3 @@ class TestMultiParentVertices:
             edges = {line.strip() for line in dot.splitlines() if "->" in line}
             assert edges == {f"v{parent} -> v{vertex.ident};"
                              for vertex in vertices for parent in vertex.parents}
-
-    def test_backfill_registers_every_vertex(self):
-        """A re-run over the same DAG after ``enable_dedupe(backfill=True)``
-        finds every key it commits, including the pre-fork ones committed
-        while deduplication was off: the DAG does not grow."""
-        dag = TraceDAG(dedupe=False)
-        first = _explore_three_arms(dag)
-        size = dag.size
-        vertices, stutter_vertices = dag.vertices(), dag.stutter_vertices()
-        dag.enable_dedupe(backfill=True)
-        again = _explore_three_arms(dag)
-        assert dag.size == size
-        assert dag.vertices() == vertices
-        assert dag.stutter_vertices() == stutter_vertices
-        assert again == first

@@ -132,11 +132,3 @@ class TestLiftedOps:
         assert noted.constant_values() == {0xFFFF, 0xFFFE}
         negated, _ = ops.neg(x)
         assert negated.constant_values() == {0, 0xFFFF}
-
-    def test_apply_dispatch(self, ops):
-        x = ValueSet.constant(6, WIDTH)
-        y = ValueSet.constant(3, WIDTH)
-        assert ops.apply("SUB", x, y)[0].value == 3
-        assert ops.apply("AND", x, y)[0].value == 2
-        with pytest.raises(ValueError):
-            ops.apply("BOGUS", x, y)
