@@ -223,6 +223,13 @@ class FlagBits:
         )
 
 
+# The nine flag outcomes of a boolean operation (AND, OR, XOR always clear
+# CF and OF), by (zf, sf): the bulk products collect plain (zf, sf) tuples,
+# which hash in C, and map each distinct one through this table once.
+_BOOLEAN_FLAGS = {(zf, sf): FlagBits(zf=zf, cf=0, sf=sf, of=0)
+                  for zf in (0, 1, None) for sf in (0, 1, None)}
+
+
 def concrete_op(op_name: str, a: int, b: int | None, width: int) -> int:
     """Concrete counterpart of every abstract operation.
 
@@ -322,14 +329,16 @@ class MaskedOps:
         """The full pairwise AND/OR product, loop-inlined for the set lifting.
 
         Semantically identical to calling :meth:`and_`/:meth:`or_` on every
-        pair in the same (x outer, y inner) order — the per-pair dispatch and
-        repeated mask-attribute loads are hoisted, the same move
-        :meth:`xor_bulk` makes for XOR, and the keep-the-symbol side
-        conditions of :meth:`_boolean_symbol` are loop-inlined with the
-        neutral-bit masks specialized per direction.
+        pair in the same (x outer, y inner) order, with the same
+        :func:`intern_counters` movement — the per-pair dispatch, the
+        constructor frames and repeated mask-attribute loads are hoisted,
+        the same moves :meth:`xor_bulk` makes for XOR, and the
+        keep-the-symbol side conditions of :meth:`_boolean_symbol` are
+        loop-inlined with the neutral-bit masks specialized per direction.
         """
+        global _hits
         results: set = set()
-        flags: set = set()
+        flag_pairs: set = set()
         width = self.width
         full = self._full
         sign_shift = self._sign_shift
@@ -344,7 +353,12 @@ class MaskedOps:
         add_right = table._rights.append
         obj_new = object.__new__
         add_result = results.add
-        add_flag = flags.add
+        add_flags = flag_pairs.add
+        # Intern lookups inlined: a constructor runs only on a miss.
+        find_mask = mask_mod._INTERN.get
+        find_symbol = _INTERN.get
+        find_constant = _CONSTANTS.get
+        hits = 0
         for x in x_elements:
             xm = x.mask
             xk, xv = xm.known, xm.value
@@ -354,53 +368,62 @@ class MaskedOps:
                 ym = y.mask
                 yk, yv = ym.known, ym.value
                 if x_const and y.is_constant:
+                    known = full
                     value = (xv & yv) if is_and else (xv | yv)
-                    add_result(MaskedSymbol.constant(value, width))
-                    add_flag(FlagBits(zf=1 if value == 0 else 0, cf=0,
-                                      sf=(value >> sign_shift) & 1, of=0))
-                    continue
-                if is_and:
+                elif is_and:
                     known = ((xk & yk) | (xk & ~xv) | (yk & ~yv)) & full
                     value = xv & yv
                 else:
                     known = ((xk & yk) | (xk & xv) | (yk & yv)) & full
                     value = xv | yv
-                mask = Mask(known, value, width)
-                y_sym = y.sym
                 if known == full:
-                    result = MaskedSymbol.constant(value, width)
-                    zf = 1 if value == 0 else 0
-                    sf = (value >> sign_shift) & 1
-                else:
-                    # _boolean_symbol inlined: idempotent same-symbol case,
-                    # then the keep-the-symbol condition per side.  The
-                    # "other operand's neutral known bits" are known&value
-                    # for AND (neutral 1) and known&~value for OR.
-                    symbolic = ~known & full
-                    if x_sym is not None and x_sym == y_sym:
-                        result = MaskedSymbol(sym=x_sym, mask=mask)
-                    elif x_sym is not None and not (symbolic & (
-                            xk | ~(yk & (yv if is_and else ~yv)))):
-                        result = MaskedSymbol(sym=x_sym, mask=mask)
-                    elif y_sym is not None and not (symbolic & (
-                            yk | ~(xk & (xv if is_and else ~xv)))):
-                        result = MaskedSymbol(sym=y_sym, mask=mask)
+                    result = find_constant((value, width))
+                    if result is None:
+                        result = MaskedSymbol.constant(value, width)
                     else:
-                        ident = len(ops)
-                        add_op(op_name)
-                        add_left(x)
-                        add_right(y)
-                        result = obj_new(MaskedSymbol)
-                        result.sym = ident
-                        result.mask = mask
-                        result.is_constant = False
-                        result._hash = hash((ident, mask))
-                    zf = 0 if value else None
-                    sf = ((value >> sign_shift) & 1
-                          if (known >> sign_shift) & 1 else None)
+                        hits += 1
+                    add_result(result)
+                    add_flags((1 if value == 0 else 0, (value >> sign_shift) & 1))
+                    continue
+                mask = find_mask((known, value, width))
+                if mask is None:
+                    mask = Mask(known, value, width)
+                # _boolean_symbol inlined: idempotent same-symbol case,
+                # then the keep-the-symbol condition per side.  The
+                # "other operand's neutral known bits" are known&value
+                # for AND (neutral 1) and known&~value for OR.
+                symbolic = ~known & full
+                y_sym = y.sym
+                if x_sym is not None and (x_sym == y_sym or not (symbolic & (
+                        xk | ~(yk & (yv if is_and else ~yv))))):
+                    kept = x_sym
+                elif y_sym is not None and not (symbolic & (
+                        yk | ~(xk & (xv if is_and else ~xv)))):
+                    kept = y_sym
+                else:
+                    kept = None
+                if kept is None:
+                    ident = len(ops)
+                    add_op(op_name)
+                    add_left(x)
+                    add_right(y)
+                    result = obj_new(MaskedSymbol)
+                    result.sym = ident
+                    result.mask = mask
+                    result.is_constant = False
+                    result._hash = hash((ident, mask))
+                else:
+                    result = find_symbol((kept, mask))
+                    if result is None:
+                        result = MaskedSymbol(kept, mask)
+                    else:
+                        hits += 1
                 add_result(result)
-                add_flag(FlagBits(zf=zf, cf=0, sf=sf, of=0))
-        return results, flags
+                add_flags((0 if value else None,
+                           (value >> sign_shift) & 1
+                           if (known >> sign_shift) & 1 else None))
+        _hits += hits
+        return results, {_BOOLEAN_FLAGS[pair] for pair in flag_pairs}
 
     def _boolean(
         self, op_name: str, x: MaskedSymbol, y: MaskedSymbol
@@ -465,13 +488,20 @@ class MaskedOps:
         """The full pairwise XOR product, loop-inlined for the set lifting.
 
         Semantically identical to calling :meth:`xor` on every pair in the
-        same (x outer, y inner) order — the per-pair call overhead and
+        same (x outer, y inner) order, with the same :func:`intern_counters`
+        movement — the per-pair call overhead, the constructor frames and
         repeated attribute loads are what this path removes; big symbolic
         products (modexp's masked limb merges) are the hottest loop of the
-        whole analysis.
+        whole analysis.  A symbolic pair whose mask (and kept symbol) is
+        interned runs two Python frames, the ``Mask`` and ``MaskedSymbol``
+        hashes: the mask, a kept symbol and a constant are intern-table
+        lookups (a constructor runs only on a miss), and the flags are
+        ``(zf, sf)`` tuples mapped through ``_BOOLEAN_FLAGS`` once per
+        product.
         """
+        global _hits
         results: set = set()
-        flags: set = set()
+        flag_pairs: set = set()
         width = self.width
         full = self._full
         sign_shift = self._sign_shift
@@ -486,53 +516,70 @@ class MaskedOps:
         add_right = table._rights.append
         obj_new = object.__new__
         add_result = results.add
-        add_flag = flags.add
+        add_flags = flag_pairs.add
+        find_mask = mask_mod._INTERN.get
+        find_symbol = _INTERN.get
+        find_constant = _CONSTANTS.get
+        hits = 0
         for x in x_elements:
             xm = x.mask
             xk, xv = xm.known, xm.value
             x_sym = x.sym
             x_const = x.is_constant
             for y in y_elements:
-                if x_const and y.is_constant:
-                    value = (xv ^ y.mask.value) & full
-                    add_result(MaskedSymbol.constant(value, width))
-                    add_flag(FlagBits(zf=1 if value == 0 else 0, cf=0,
-                                      sf=(value >> sign_shift) & 1, of=0))
-                    continue
                 ym = y.mask
-                yk, yv = ym.known, ym.value
-                y_sym = y.sym
-                known = xk & yk
-                if x_sym is not None and x_sym == y_sym:
-                    known |= ~xk & ~yk & full
-                value = (xv ^ yv) & known
-                mask = Mask(known, value, width)
-                if known == full:
-                    result = MaskedSymbol.constant(value, width)
-                    zf = 1 if value == 0 else 0
-                    sf = (value >> sign_shift) & 1
+                yv = ym.value
+                if x_const and y.is_constant:
+                    known = full
+                    value = xv ^ yv
                 else:
-                    symbolic = ~known & full
-                    if x_sym is not None and not (symbolic & (xk | ~(yk & ~yv))):
-                        result = MaskedSymbol(sym=x_sym, mask=mask)
-                    elif y_sym is not None and not (symbolic & (yk | ~(xk & ~xv))):
-                        result = MaskedSymbol(sym=y_sym, mask=mask)
+                    yk = ym.known
+                    y_sym = y.sym
+                    known = xk & yk
+                    if x_sym is not None and x_sym == y_sym:
+                        known |= ~xk & ~yk & full
+                    value = (xv ^ yv) & known
+                if known == full:
+                    result = find_constant((value, width))
+                    if result is None:
+                        result = MaskedSymbol.constant(value, width)
                     else:
-                        ident = len(ops)
-                        add_op("XOR")
-                        add_left(x)
-                        add_right(y)
-                        result = obj_new(MaskedSymbol)
-                        result.sym = ident
-                        result.mask = mask
-                        result.is_constant = False
-                        result._hash = hash((ident, mask))
-                    zf = 0 if value else None
-                    sf = ((value >> sign_shift) & 1
-                          if (known >> sign_shift) & 1 else None)
+                        hits += 1
+                    add_result(result)
+                    add_flags((1 if value == 0 else 0, (value >> sign_shift) & 1))
+                    continue
+                mask = find_mask((known, value, width))
+                if mask is None:
+                    mask = Mask(known, value, width)
+                symbolic = ~known & full
+                if x_sym is not None and not (symbolic & (xk | ~(yk & ~yv))):
+                    kept = x_sym
+                elif y_sym is not None and not (symbolic & (yk | ~(xk & ~xv))):
+                    kept = y_sym
+                else:
+                    kept = None
+                if kept is None:
+                    ident = len(ops)
+                    add_op("XOR")
+                    add_left(x)
+                    add_right(y)
+                    result = obj_new(MaskedSymbol)
+                    result.sym = ident
+                    result.mask = mask
+                    result.is_constant = False
+                    result._hash = hash((ident, mask))
+                else:
+                    result = find_symbol((kept, mask))
+                    if result is None:
+                        result = MaskedSymbol(kept, mask)
+                    else:
+                        hits += 1
                 add_result(result)
-                add_flag(FlagBits(zf=zf, cf=0, sf=sf, of=0))
-        return results, flags
+                add_flags((0 if value else None,
+                           (value >> sign_shift) & 1
+                           if (known >> sign_shift) & 1 else None))
+        _hits += hits
+        return results, {_BOOLEAN_FLAGS[pair] for pair in flag_pairs}
 
     def xor(self, x: MaskedSymbol, y: MaskedSymbol) -> tuple[MaskedSymbol, FlagBits]:
         """Abstract bitwise XOR (§5.4.1)."""

@@ -13,6 +13,10 @@ run)`` describing the in-progress tail of each trace bundle: the last
 to a different label, the entry is *committed* as a real vertex and a new
 virtual entry is opened.  Cursor parents are frozensets of vertex ids.
 
+Labels are canonical: a run is extended only when the next access carries
+the *same* label object (the engine interns its labels per run).  An equal
+but distinct label starts a new vertex, which is sound, only less precise.
+
 Each DAG is stored as parallel columns indexed by vertex id: label, parents,
 run, count and the low/high path-length span for the exact DAG; label,
 parents and count for the stuttering quotient.  Slot 0 holds the root as an
@@ -22,10 +26,19 @@ unboxed ``array('q')`` columns; labels and counts stay lists, because
 labels are objects and counts are unbounded (Proposition 2 multiplies
 label sizes along a path).  A vertex with one parent stores that parent's
 id; the root and a multi-parent vertex store the marker id ``-1`` and
-keep their parent frozenset in a side dict.  A fork-free commit therefore
-appends machine words plus label and count references: no vertex record,
-no parent set and no boxed id or span.  The :class:`Vertex` and
+keep their parent frozenset in a side dict.  The :class:`Vertex` and
 :class:`StutterVertex` records are built on demand for introspection.
+
+While key deduplication is off (``TraceDAG(dedupe=False)``, an engine run
+before its first fork or merge) the exact DAG is one path from the root.
+Its stuttering quotient is then the same path, vertex for vertex, and
+every high span equals the low one, so the quotient and high columns *are*
+the exact label, parent, count and low columns.  A commit appends five
+machine words (a label and a count reference, a parent id, a run and a
+span): no vertex record, no parent set, no boxed id or span, and no copy.
+The columns split, by one list/array copy each, when deduplication turns
+on (:meth:`TraceDAG.enable_dedupe`, or the first :meth:`TraceDAG.merge`),
+before the first deduplicated commit; ``TraceDAG()`` splits at once.
 
 Three refinements over the paper's §6.4 presentation (all verified against
 the paper's reported numbers and by exhaustive concrete validation):
@@ -132,11 +145,13 @@ class TraceDAG:
         self._runs = array("q", (0,))
         self._counts: list[int] = [1]
         self._lows = array("q", (0,))
-        self._highs = array("q", (0,))
-        self._stutter_labels: list[ProjectedLabel | None] = [None]
-        self._stutter_parents = array("q", (_MULTI_PARENT,))
-        self._stutter_parent_sets: dict[int, frozenset] = {ROOT_VERTEX: frozenset()}
-        self._stutter_counts: list[int] = [1]
+        # One path from the root until deduplication turns on: the high
+        # span and quotient columns are the exact ones (module docstring).
+        self._highs = self._lows
+        self._stutter_labels = self._labels
+        self._stutter_parents = self._parents
+        self._stutter_parent_sets = self._parent_sets
+        self._stutter_counts = self._counts
         # Registries map commit keys to the *frozenset* {ident} handed to
         # cursors, so repeat commits reuse one allocation.  While the cursor
         # bundle is a single never-duplicated chain (an engine run before its
@@ -146,8 +161,10 @@ class TraceDAG:
         # discipline, so it is opt-out, not the default).
         self._registry: dict[tuple, frozenset] = {}
         self._stutter_registry: dict[tuple, frozenset] = {}
-        self._dedupe = dedupe
+        self._dedupe = False
         self._access_count = 0
+        if dedupe:
+            self.enable_dedupe()
 
     def enable_dedupe(self) -> None:
         """Start deduplicating commit keys (engine calls this at any fork).
@@ -159,8 +176,19 @@ class TraceDAG:
         parent set never appeared in a committed key.  A second exploration
         from the root could repeat old keys, which is why an engine (and
         with it its DAGs) runs once.
+
+        The first call splits the high span and stuttering-quotient columns
+        off the exact ones they shared along the chain; later calls do
+        nothing.
         """
+        if self._dedupe:
+            return
         self._dedupe = True
+        self._highs = self._lows[:]
+        self._stutter_labels = self._labels.copy()
+        self._stutter_parents = self._parents[:]
+        self._stutter_parent_sets = self._parent_sets.copy()
+        self._stutter_counts = self._counts.copy()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -204,7 +232,8 @@ class TraceDAG:
     # ------------------------------------------------------------------
     def root_cursor(self) -> Cursor:
         """The cursor of the empty trace."""
-        return frozenset({(frozenset({ROOT_VERTEX}), frozenset({ROOT_VERTEX}), None, 0)})
+        root = frozenset((ROOT_VERTEX,))
+        return frozenset(((root, root, None, 0),))
 
     def access(self, cursor: Cursor, label: ProjectedLabel) -> Cursor:
         """Extend every trace bundle in ``cursor`` with one access.
@@ -212,13 +241,15 @@ class TraceDAG:
         The single-entry cursor (any straight-line stretch of code) is the
         overwhelmingly common case and skips the pending-set bookkeeping
         entirely: one run extension or one commit, one frozenset built.
+        A run extends only on the same label object (labels are canonical,
+        see the module docstring).
         """
         self._access_count += 1
         single = label.is_single
         if len(cursor) == 1:
             (entry,) = cursor
             parents, stutter_parents, entry_label, run = entry
-            if single and (entry_label is label or entry_label == label):
+            if single and entry_label is label:
                 return frozenset(((parents, stutter_parents, label, run + 1),))
             exact_ids, stutter_ids = self._commit(
                 parents, stutter_parents, entry_label, run)
@@ -227,7 +258,7 @@ class TraceDAG:
         pending_exact: set[int] = set()
         pending_stutter: set[int] = set()
         for parents, stutter_parents, entry_label, run in cursor:
-            if single and (entry_label is label or entry_label == label):
+            if single and entry_label is label:
                 survivors.add((parents, stutter_parents, label, run + 1))
                 continue
             exact_ids, stutter_ids = self._commit(
@@ -259,16 +290,14 @@ class TraceDAG:
                     cursor = access(cursor, label)
             return cursor
         ((parents, stutter_parents, entry_label, run),) = cursor
-        if (not self._dedupe and len(parents) == 1
-                and len(stutter_parents) == 1):
-            return self._access_seq_chain(
-                parents, stutter_parents, entry_label, run, runs)
+        if not self._dedupe:
+            return self._access_seq_chain(parents, entry_label, run, runs)
         commit = self._commit
         total = 0
         for label, count in runs:
             total += count
             if label.is_single:
-                if entry_label is label or entry_label == label:
+                if entry_label is label:
                     run += count
                     continue
                 parents, stutter_parents = commit(
@@ -284,41 +313,35 @@ class TraceDAG:
         self._access_count += total
         return frozenset(((parents, stutter_parents, entry_label, run),))
 
-    def _access_seq_chain(self, parents, stutter_parents, entry_label, run, runs):
+    def _access_seq_chain(self, parents, entry_label, run, runs):
         """:meth:`access_seq` for the pre-fork chain (dedupe off).
 
         Before the first fork the cursor is one never-duplicated chain: every
         commit's parent is the vertex committed just before it, so the
         count/span folds of :meth:`_commit` only ever consult the previous
-        vertex.  This loop keeps those folds and the parent ids in running
-        locals and appends each commit to the columns: no registry probes
+        vertex.  This loop keeps those folds and the parent id in running
+        locals and appends each commit to the five exact columns (the
+        quotient and high columns are the same objects): no registry probes
         (dedupe is off), no indexing back into the columns, and no frozenset
-        until the returned cursor.  It is bit-identical to the general path;
-        the compile tier pushes every specialized block's fetch sequence
-        through here on fork-free prefixes (all of fig14b-d).
+        until the returned cursor, whose entry names one parent set for both
+        DAGs.  It is bit-identical to the general path; the compile tier
+        pushes every specialized block's fetch sequence through here on
+        fork-free prefixes (all of fig14b-d).
         """
         (parent,) = parents
-        (stutter_parent,) = stutter_parents
         prev_total = self._counts[parent]
         prev_low = self._lows[parent]
-        prev_high = self._highs[parent]
-        prev_stotal = self._stutter_counts[stutter_parent]
         first = ident = len(self._labels) - 1
-        stutter_ident = len(self._stutter_labels) - 1
         add_label = self._labels.append
         add_parent = self._parents.append
         add_run = self._runs.append
         add_count = self._counts.append
         add_low = self._lows.append
-        add_high = self._highs.append
-        add_stutter_label = self._stutter_labels.append
-        add_stutter_parent = self._stutter_parents.append
-        add_stutter_count = self._stutter_counts.append
         total = 0
         for label, count in runs:
             total += count
             single = label.is_single
-            if single and (entry_label is label or entry_label == label):
+            if single and entry_label is label:
                 run += count
                 continue
             commits = 1 if single else count
@@ -327,28 +350,19 @@ class TraceDAG:
                 if entry_label is not None:
                     prev_total = entry_label.count * prev_total
                     prev_low = run + prev_low
-                    prev_high = run + prev_high
-                    prev_stotal = entry_label.count * prev_stotal
                     add_label(entry_label)
                     add_parent(parent)
                     add_run(run)
                     add_count(prev_total)
                     add_low(prev_low)
-                    add_high(prev_high)
-                    add_stutter_label(entry_label)
-                    add_stutter_parent(stutter_parent)
-                    add_stutter_count(prev_stotal)
                     ident += 1
                     parent = ident
-                    stutter_ident += 1
-                    stutter_parent = stutter_ident
                 entry_label = label
                 run = count if single else 1
         self._access_count += total
-        if ident == first:  # nothing committed: the parent sets stand
-            return frozenset(((parents, stutter_parents, entry_label, run),))
-        return frozenset(((frozenset((parent,)), frozenset((stutter_parent,)),
-                           entry_label, run),))
+        if ident != first:
+            parents = frozenset((parent,))
+        return frozenset(((parents, parents, entry_label, run),))
 
     def merge(self, first: Cursor, second: Cursor) -> Cursor:
         """Join two cursors at a control-flow merge (joins stay lazy).
@@ -357,7 +371,7 @@ class TraceDAG:
         turns key deduplication on (for engine runs it already is: forks
         precede merges).
         """
-        self._dedupe = True
+        self.enable_dedupe()
         return first | second
 
     def finalize(self, cursor: Cursor) -> EndSet:
@@ -376,24 +390,31 @@ class TraceDAG:
         """Turn a virtual entry into real vertices in both DAGs.
 
         Returns *frozensets* of vertex ids (cached in the registries, so
-        repeat commits share them).  The registry probe uses ``setdefault``,
-        hashing each key exactly once on the dominant new-vertex path; the
-        count/span folds happen here while the parents are at hand, and a
-        single parent (every commit of a fork-free run) is stored and
+        repeat commits share them).  Before deduplication turns on, the
+        commit extends the one path from the root: one parent, a fresh key,
+        and the quotient is the same vertex, so it appends to the exact
+        columns only and returns one id set for both DAGs.  After, the
+        registry probe uses ``setdefault``, hashing each key exactly once on
+        the dominant new-vertex path; the count/span folds happen here
+        while the parents are at hand, and a single parent is stored and
         folded as a plain id; only a multi-parent vertex reaches the side
         dict.  This is the hottest function of the whole DAG layer once an
         exploration forks.
         """
         if label is None:  # root-virtual entry: nothing to commit
             return parents, stutter_parents
-        dedupe = self._dedupe
         labels = self._labels
         ident = len(labels)
         exact_ids = frozenset((ident,))
-        if dedupe:
-            existing = self._registry.setdefault((parents, label, run), exact_ids)
-        else:
-            existing = exact_ids
+        if not self._dedupe:
+            (parent,) = parents
+            labels.append(label)
+            self._parents.append(parent)
+            self._runs.append(run)
+            self._counts.append(label.count * self._counts[parent])
+            self._lows.append(run + self._lows[parent])
+            return exact_ids, exact_ids
+        existing = self._registry.setdefault((parents, label, run), exact_ids)
         if existing is exact_ids:
             counts = self._counts
             lows = self._lows
@@ -420,11 +441,8 @@ class TraceDAG:
         stutter_labels = self._stutter_labels
         stutter_ident = len(stutter_labels)
         stutter_ids = frozenset((stutter_ident,))
-        if dedupe:
-            existing = self._stutter_registry.setdefault(
-                (stutter_parents, label), stutter_ids)
-        else:
-            existing = stutter_ids
+        existing = self._stutter_registry.setdefault(
+            (stutter_parents, label), stutter_ids)
         if existing is stutter_ids:
             stutter_counts = self._stutter_counts
             if len(stutter_parents) == 1:

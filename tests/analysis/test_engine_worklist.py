@@ -81,6 +81,23 @@ class TestSchedulerStats:
         assert {key: dag.size for key, dag in engine.dags.items()} == sizes
 
 
+class TestCanonicalLabels:
+    """The engine interns its projected labels per run, and a trace DAG
+    extends a run only on the same label object: equal labels in one of
+    its DAGs must be one object, or runs would split."""
+
+    @pytest.mark.parametrize("build", [
+        targets.sqam_target,                       # forks and merges
+        lambda: targets.gather_target(nbytes=32),  # compiled loop blocks
+    ], ids=["sqam", "gather"])
+    def test_equal_labels_are_one_object(self, build):
+        result = build().analyze()
+        for dag in result.engine_result.dags.values():
+            labels = [vertex.label for vertex in dag.vertices()]
+            labels += [vertex.label for vertex in dag.stutter_vertices()]
+            assert len({id(label) for label in labels}) == len(set(labels))
+
+
 class TestEmitProjections:
     """Secret-dependent access, observed by several kinds and observers."""
 

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.mask import Mask
-from repro.core.masked import MaskedOps, MaskedSymbol, concrete_op
+from repro.core.masked import (MaskedOps, MaskedSymbol, concrete_op,
+                                intern_clear, intern_counters)
 from repro.core.symbols import SymbolTable, Valuation
 
 WIDTH = 8  # small width keeps the property tests fast yet bit-complete
@@ -410,17 +411,34 @@ def _input_table():
 def test_bulk_lifts_match_pairwise_and_are_sound(op_name, xs, ys, lams):
     """``xor_bulk``/``boolean_bulk`` allocate exactly the symbols, with
     exactly the provenance, of the per-pair transformers called in
-    (x outer, y inner) order; and every pair's concrete result lies in
-    the concretized result set (Lemma 1, fresh symbols resolved by λ̄)."""
+    (x outer, y inner) order, and move the intern hit and miss counters
+    by the same amounts; and every pair's concrete result lies in the
+    concretized result set (Lemma 1, fresh symbols resolved by λ̄)."""
+    transformer = {"XOR": "xor", "AND": "and_", "OR": "or_"}[op_name]
+
+    def bulk_product(ops):
+        if op_name == "XOR":
+            return ops.xor_bulk(xs, ys)
+        return ops.boolean_bulk(op_name, xs, ys)
+
+    def pair_product(ops):
+        per_pair = getattr(ops, transformer)
+        return [per_pair(x, y) for x in xs for y in ys]
+
+    def intern_traffic(product):
+        # From cleared tables, a cold product and then a warm one, in
+        # which every kept symbol and constant is an intern hit.
+        intern_clear()
+        before = intern_counters()
+        for _ in range(2):
+            product(MaskedOps(_input_table()))
+        return tuple(now - was for now, was in zip(intern_counters(), before))
+
+    assert intern_traffic(bulk_product) == intern_traffic(pair_product)
+
     bulk_table, pair_table = _input_table(), _input_table()
-    bulk, pairwise = MaskedOps(bulk_table), MaskedOps(pair_table)
-    if op_name == "XOR":
-        results, flags = bulk.xor_bulk(xs, ys)
-    else:
-        results, flags = bulk.boolean_bulk(op_name, xs, ys)
-    per_pair = {"XOR": pairwise.xor, "AND": pairwise.and_,
-                "OR": pairwise.or_}[op_name]
-    pairs = [per_pair(x, y) for x in xs for y in ys]
+    results, flags = bulk_product(MaskedOps(bulk_table))
+    pairs = pair_product(MaskedOps(pair_table))
 
     assert results == {result for result, _ in pairs}
     assert flags == {flag for _, flag in pairs}

@@ -252,8 +252,8 @@ class TestVertexLookup:
                 dag.vertex(ident)
 
 
-# Equal labels built separately: the run-extension check must use equality,
-# not identity.
+# Equal labels built separately: runs extend only on the same label object,
+# so an equal but distinct label must start a new vertex on both paths.
 _LABELS = [
     lambda: label("A"), lambda: label("B"), lambda: label("C"),
     lambda: label("X", "Y"), lambda: label("X", "Y", "Z", count=2),
@@ -266,6 +266,18 @@ _RUNS = st.lists(
 
 def _fields(vertex):
     return tuple(getattr(vertex, name) for name in vertex.__slots__)
+
+
+def _render(dag, ends):
+    """Everything a reader of the DAG sees."""
+    return (
+        dag.size, dag.accesses_recorded,
+        [_fields(vertex) for vertex in dag.vertices()],
+        [_fields(vertex) for vertex in dag.stutter_vertices()],
+        dag.count(ends), dag.count(ends, stuttering=True),
+        dag.path_length_span(ends),
+        dag.to_dot(), dag.to_dot(stuttering=True),
+    )
 
 
 class TestBatchedAccesses:
@@ -296,14 +308,7 @@ class TestBatchedAccesses:
                     for access, count in batch:
                         for _ in range(count):
                             cursor = dag.access(cursor, access)
-            ends = dag.finalize(cursor)
-            outcomes.append((
-                cursor, dag.size, dag.accesses_recorded,
-                dag.count(ends), dag.count(ends, stuttering=True),
-                dag.path_length_span(ends),
-                [_fields(vertex) for vertex in dag.vertices()],
-                [_fields(vertex) for vertex in dag.stutter_vertices()],
-            ))
+            outcomes.append((cursor, _render(dag, dag.finalize(cursor))))
         assert outcomes[0] == outcomes[1]
 
 
@@ -322,9 +327,11 @@ class TestColumnarStorage:
         assert grown < 100
 
     def test_fork_free_chain_stores_machine_words(self):
-        """Parent ids, runs and spans are unboxed: a fork-free commit costs
-        about nine 8-byte column slots, not four boxed ``int`` objects on
-        top of them (~200 bytes per commit in a list-of-ints layout)."""
+        """Parent ids, runs and spans are unboxed, and the unforked quotient
+        and high-span columns are the exact ones: a fork-free commit costs
+        about five 8-byte column slots, not nine, nor four boxed ``int``
+        objects on top of them (~200 bytes per commit in a list-of-ints
+        layout)."""
         dag = TraceDAG(dedupe=False)
         cursor = dag.root_cursor()
         runs = [(A, 1), (B, 2)] * 5_000
@@ -337,7 +344,7 @@ class TestColumnarStorage:
             tracemalloc.stop()
         commits = dag.size - 1
         assert commits == 9_999
-        assert grown / commits < 100
+        assert grown / commits < 56
 
 
 E, F = label("E"), label("F")
@@ -391,3 +398,59 @@ class TestMultiParentVertices:
             edges = {line.strip() for line in dot.splitlines() if "->" in line}
             assert edges == {f"v{parent} -> v{vertex.ident};"
                              for vertex in vertices for parent in vertex.parents}
+
+    def test_each_dag_keeps_its_own_parent_sets(self):
+        """Traces B, C B, C D B and C C D B.  Exact vertex 3 (D, after C x1
+        or C x2) and stuttering vertex 3 (B, after the root, C or D) both
+        keep their parents in a side dict, each DAG in its own: the merge
+        that splits the unforked columns copies the dict."""
+        dag = TraceDAG(dedupe=False)
+        root = dag.root_cursor()
+        short = dag.merge(root, dag.access(root, C))    # "" or C
+        long = dag.access(dag.access(short, C), D)      # C D or C C D
+        ends = dag.finalize(dag.access(dag.merge(short, long), B))
+        assert _shape(dag.vertices(), with_run=True) == {
+            "Cx1": {"root"}, "Cx2": {"root"}, "Dx1": {"Cx1", "Cx2"},
+            "Bx1": {"root", "Cx1", "Dx1"}}
+        assert _shape(dag.stutter_vertices(), with_run=False) == {
+            "C": {"root"}, "D": {"C"}, "B": {"root", "C", "D"}}
+        assert dag.count(ends) == 4
+        assert dag.count(ends, stuttering=True) == 3
+
+
+class TestUnforkedColumns:
+    """An unforked DAG keeps one column set for the exact DAG, its quotient
+    and both span bounds; switching deduplication on splits them.  Either
+    way a reader sees what a DAG deduplicating from the start shows."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(prefix=_RUNS, switch=st.sampled_from(["enable_dedupe", "merge"]),
+           finalize_first=st.booleans(), tail=_RUNS)
+    def test_split_matches_deduplicating_dag(self, prefix, switch,
+                                             finalize_first, tail):
+        outcomes = []
+        for dag in (TraceDAG(dedupe=False), TraceDAG()):
+            cursor = dag.access_seq(dag.root_cursor(), prefix)
+            if finalize_first:
+                # The chain ends here (continuing from a finalized cursor
+                # would commit its tail twice): its final vertices are read
+                # through the shared columns, then through the split ones.
+                ends = dag.finalize(cursor)
+                before = _render(dag, ends)
+                if switch == "enable_dedupe":
+                    dag.enable_dedupe()
+                else:
+                    dag.merge(cursor, cursor)
+                outcomes.append((before, _render(dag, ends)))
+                continue
+            # The switch precedes every commit after the prefix, as the
+            # engine's fork does: the merge joins the chain with the empty
+            # trace, so the next commit has the root and the tail as parents.
+            if switch == "enable_dedupe":
+                dag.enable_dedupe()
+                arms = [dag.access(cursor, C), dag.access(cursor, D)]
+            else:
+                arms = [cursor, dag.root_cursor()]
+            cursor = dag.access_seq(dag.merge(*arms), [(E, 1)] + tail)
+            outcomes.append(_render(dag, dag.finalize(cursor)))
+        assert outcomes[0] == outcomes[1]
