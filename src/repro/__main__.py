@@ -154,9 +154,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="profile the sweep with cProfile and dump the "
                             "stats to this file (inspect with pstats or "
                             "snakeviz); a top-function summary and the "
-                            "per-scenario specialization hit rates are "
-                            "printed; the sweep runs inline, so --jobs > 1 "
-                            "is a usage error")
+                            "per-scenario share of steps run in block units "
+                            "are printed; the sweep runs inline, so "
+                            "--jobs > 1 is a usage error")
     sweep.add_argument("--trace", default=None, metavar="OUT",
                        help="record phase spans and write a Chrome "
                             "trace_event JSON file (load in ui.perfetto.dev "
@@ -287,13 +287,13 @@ def _render_sweep_result(result: SweepResult) -> str:
     return "\n".join(lines)
 
 
-def _specialization_profile(results: list[SweepResult]) -> str | None:
-    """Per-scenario compile-tier lines for ``sweep --profile`` output.
+def _block_unit_profile(results: list[SweepResult]) -> str | None:
+    """Per-scenario block-unit lines for ``sweep --profile`` output.
 
-    Shows how much of each scenario's exploration ran through specialized
-    block functions (hit rate of ``spec_steps`` against total steps) and
-    how many blocks the tier compiled; scenarios without engine counters
-    (kernel scenarios, results cached from older stores) are skipped.
+    Shows how much of each scenario's exploration ran in block units (the
+    share of ``spec_steps`` in all steps) and how many units the run bound;
+    scenarios without engine counters (kernel scenarios, results cached
+    from older stores) are skipped.
     """
     lines = []
     for result in results:
@@ -305,19 +305,19 @@ def _specialization_profile(results: list[SweepResult]) -> str | None:
         rate = spec_steps / total if total else 0.0
         lines.append(
             f"  {result.scenario:<44}"
-            f"blocks={metrics.get('spec_blocks', 0):>4}"
-            f"  spec_steps={spec_steps:>9,}"
-            f"  hit_rate={rate:>7.1%}")
+            f"units={metrics.get('spec_blocks', 0):>4}"
+            f"  unit_steps={spec_steps:>9,}"
+            f"  share={rate:>7.1%}")
     if not lines:
         return None
-    return "per-scenario specialization (compile tier):\n" + "\n".join(lines)
+    return "per-scenario block units:\n" + "\n".join(lines)
 
 
 def _package_self_time(stats) -> str:
     """Self time (cProfile ``tottime``) summed per ``repro.<package>``.
 
-    Functions outside the ``repro`` tree (builtins, the standard library,
-    the compile tier's generated block code) are summed under ``other``.
+    Functions outside the ``repro`` tree (builtins, the standard library)
+    are summed under ``other``.
     """
     package_root = os.path.dirname(os.path.abspath(__file__)) + os.sep
     totals: dict[str, float] = {}
@@ -463,9 +463,9 @@ def _command_sweep(args) -> int:
             stats.print_stats(12)
             print(_package_self_time(stats))
             print()
-            specialization = _specialization_profile(results)
-            if specialization:
-                print(specialization)
+            units = _block_unit_profile(results)
+            if units:
+                print(units)
                 print()
         for result in results:
             print(_render_sweep_result(result))

@@ -37,12 +37,7 @@ from dataclasses import dataclass, field
 from itertools import count as _count
 
 from repro.analysis.config import AnalysisConfig, AnalysisError, ResourceLimitError
-from repro.analysis.specialize import (
-    HOT_RUNS,
-    compile_tier_evictions,
-    specialization_enabled,
-    specialized_program,
-)
+from repro.analysis.specialize import program_cache_evictions, specialized_program
 from repro.analysis.state import AbsState, AnalysisContext
 from repro.analysis.transfer import SENTINEL_RETURN, Transfer
 from repro.core.masked import intern_counters as masked_intern_counters
@@ -115,6 +110,23 @@ class _ResourceGuard:
                     f"ceiling after {steps} abstract steps")
 
 
+class _Unit:
+    """A block unit bound to one run (see :mod:`repro.analysis.specialize`).
+
+    ``handlers`` and ``fetches`` are its instructions' handlers and fetch
+    addresses, in program order; ``i_runs`` caches the per-observer
+    run-length-compressed fetch labels, projected on its first execution.
+    """
+
+    __slots__ = ("handlers", "fetches", "end_pc", "i_runs")
+
+    def __init__(self, handlers: tuple, fetches: tuple, end_pc: int) -> None:
+        self.handlers = handlers
+        self.fetches = fetches
+        self.end_pc = end_pc
+        self.i_runs = None
+
+
 class _Config:
     """One in-flight execution path (or merged bundle of paths)."""
 
@@ -168,9 +180,10 @@ class SchedulerStats:
     vs_intern_misses: int = 0
     sym_intern_hits: int = 0
     sym_intern_misses: int = 0
-    # Compile tier: how much of the run went through specialized block
-    # functions (repro.analysis.specialize) instead of Transfer.step, and
-    # how many compile-tier LRU cache evictions the run incurred.
+    # Block units (repro.analysis.specialize): the units bound in the run,
+    # their executions and the steps they ran; the steps that ran one
+    # instruction at a time; and the program-cache LRU evictions the run
+    # incurred.
     spec_blocks: int = 0
     spec_block_runs: int = 0
     spec_steps: int = 0
@@ -255,10 +268,6 @@ class Engine:
         # An engine runs once (run() raises on a second call), so its DAGs,
         # stats and the caches below all belong to that one run.
         self.stats = SchedulerStats()
-        # Decoded instructions per pc.  Image.decode_at has its own
-        # per-address cache; this front dict only skips the method-call
-        # overhead on the hot loop and gives the run its hit/miss counters.
-        self._decode_cache: dict[int, object] = {}
         # Projected labels per (address set, offset bits): the projection of
         # an address depends only on the observer's blinding, so one access
         # re-observed by several (kind, observer) DAGs — and the same address
@@ -292,7 +301,7 @@ class Engine:
     # ------------------------------------------------------------------
     # Access routing
     # ------------------------------------------------------------------
-    def _emit(self, access_kind: str, address: ValueSet, size: int) -> None:
+    def _emit(self, address: ValueSet, access_kind: str = "D") -> None:
         """Record one access in every (kind, observer) DAG it is visible to.
 
         Each (observer, kind) pair receives the label projected for *that*
@@ -300,9 +309,8 @@ class Engine:
         label reuse inside the loop) is what deduplicates the computation,
         so a kind can never observe a label projected for a different
         blinding.  The cache probe is inlined and the active configuration's
-        cursor list is read from ``_emit_cursors`` (set per step by the main
-        loop, avoiding a ``partial`` allocation per instruction) — this is
-        the single hottest call site of the engine.
+        cursor list is read from ``_emit_cursors`` (set per single step by
+        the main loop, avoiding a ``partial`` allocation per instruction).
         """
         cursors = self._emit_cursors
         cache = self._projection_cache
@@ -325,9 +333,9 @@ class Engine:
                 cursors[slot] = dag.access(cursors[slot], label)
 
     def _project_runs(self, access_kind: str, addresses) -> list:
-        """Project a compiled block's address batch, run-length compressed.
+        """Project a block unit's address batch, run-length compressed.
 
-        ``addresses`` is a block's fetch or data-access address sequence
+        ``addresses`` is a unit's fetch or data-access address sequence
         (``access_kind`` "I" or "D") in program order.  Per observer the
         addresses project through the same cache (and counters) as the
         stepwise ``_emit``, and consecutive equal single labels collapse
@@ -337,7 +345,7 @@ class Engine:
 
         Per-kind access sequences are unchanged; only the I/D interleaving
         differs, which no I- or D-observing DAG can see (the SHARED guard
-        in ``run`` keeps mixed-kind DAGs on the interpreter).
+        in ``run`` keeps mixed-kind DAGs on single steps).
         """
         cache = self._projection_cache
         stats = self.stats
@@ -368,20 +376,6 @@ class Engine:
         return batches
 
     # ------------------------------------------------------------------
-    # Instruction decode
-    # ------------------------------------------------------------------
-    def _decode(self, pc: int):
-        """Decode the instruction at ``pc`` through the per-run cache."""
-        instruction = self._decode_cache.get(pc)
-        if instruction is not None:
-            self.stats.decode_hits += 1
-            return instruction
-        self.stats.decode_misses += 1
-        instruction = self.image.decode_at(pc)
-        self._decode_cache[pc] = instruction
-        return instruction
-
-    # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
     def run(self, entry: int, initial_state: AbsState) -> EngineResult:
@@ -408,16 +402,15 @@ class Engine:
             raise
 
     def _run(self, entry: int, initial_state: AbsState, run_span) -> EngineResult:
-        # Compile tier: look up the specialized program for this (image,
-        # entry).  Its blocks compile and bind one at a time, as they turn
-        # hot in the exploration loop.
-        evictions_base = compile_tier_evictions()
+        # The block units of this (image, entry); each binds to the run on
+        # its first execution in the exploration loop.
+        evictions_base = program_cache_evictions()
         program = None
-        if specialization_enabled() and AccessKind.SHARED not in self.kinds:
+        if AccessKind.SHARED not in self.kinds:
             # A SHARED-kind DAG observes instruction and data accesses
-            # interleaved in program order; the compile tier emits a block's
-            # fetches batched ahead of its data accesses (identical per-kind
-            # sequences, different interleaving), so SHARED runs interpret.
+            # interleaved in program order; a unit emits its fetches batched
+            # ahead of its data accesses (identical per-kind sequences,
+            # different interleaving), so SHARED runs take single steps.
             with obs_trace.span("engine.specialize") as lookup_span:
                 program = specialized_program(self.image, entry)
                 lookup_span.arg("blocks", len(program.blocks))
@@ -442,7 +435,6 @@ class Engine:
         fuel = self.context.config.fuel
         vs_base = valueset_intern_counters()
         sym_base = masked_intern_counters()
-        emit = self._emit  # bound once; cursors are threaded via attribute
         sampler = obs_timeline.active()
         guard = _ResourceGuard.from_config(self.context.config)
 
@@ -461,7 +453,7 @@ class Engine:
             gc.disable()
         try:
             with obs_trace.span("engine.explore") as explore_span:
-                self._explore(heap, pending, finished, fuel, result, emit,
+                self._explore(heap, pending, finished, fuel, result,
                               program, sampler, guard)
                 explore_span.arg("steps", result.steps)
                 explore_span.arg("merges", result.merges)
@@ -470,7 +462,7 @@ class Engine:
             if gc_was_enabled:
                 gc.enable()
 
-        self.stats.cache_evictions = compile_tier_evictions() - evictions_base
+        self.stats.cache_evictions = program_cache_evictions() - evictions_base
         self._sync_lift_stats(vs_base, sym_base)
         if sampler is not None:
             sampler.sample(result.steps, len(heap), len(pending))
@@ -486,17 +478,24 @@ class Engine:
         run_span.__exit__(None, None, None)
         return result
 
-    def _explore(self, heap, pending, finished, fuel, result, emit,
+    def _explore(self, heap, pending, finished, fuel, result,
                  program=None, sampler=None, guard=None) -> None:
-        """The scheduler loop, split out so run() can bracket it (GC pause)."""
+        """The scheduler loop, split out so run() can bracket it (GC pause).
+
+        The run's handlers and bound units are locals: they hold value sets
+        of this run's context, and die with the loop.
+        """
         seq = _count(1)
         stats = self.stats
-        # Compile tier, per run: executions so far of each eligible block
-        # start, and the blocks that turned hot, bound to this run.
-        heat = dict.fromkeys(program.blocks, 0) if program is not None else {}
-        hot: dict = {}
-        # Data-address collector handed to specialized block functions; one
-        # list reused across block executions (cleared after each batch).
+        bind = self.transfer.bind
+        decode = self.image.decode_at
+        emit = self._emit  # bound once; cursors are threaded via attribute
+        # Per reached pc: (handler, fetch address, next pc).
+        steps: dict[int, tuple] = {}
+        prefixes = program.blocks if program is not None else {}
+        units: dict[int, _Unit] = {}
+        # Data-address collector handed to a unit's handlers; one list
+        # reused across unit executions (cleared after each batch).
         d_log: list = []
         d_append = d_log.append
 
@@ -511,72 +510,81 @@ class Engine:
                 guard.check(result.steps)
             _, _, config = heapq.heappop(heap)
             del pending[config.order_key]
-            if config.pc == SENTINEL_RETURN:
+            pc = config.pc
+            if pc == SENTINEL_RETURN:
                 finished.append(config)
                 continue
 
-            if program is not None:
-                block = hot.get(config.pc)
-                if block is None and config.pc in heat:
-                    heat[config.pc] += 1
-                    if heat[config.pc] == HOT_RUNS:
-                        block = hot[config.pc] = self._bind_block(
-                            program, config.pc)
-                # The fuel guard requires headroom for the whole prefix:
-                # without it the interpreted path below replays the block one
-                # instruction at a time and raises at the exact step the
-                # interpreter always did.  Interior prefix pcs are never CFG
-                # leaders, so no pending configuration can name them and
-                # atomic execution pops in the interpreted order.
-                if block is not None and result.steps + block.n_steps <= fuel:
-                    # The fetch batch projects once per run, on the block's
-                    # first compiled execution; the data batch every time.
-                    batches = block.i_runs
-                    if batches is None:
-                        batches = block.i_runs = self._project_runs(
-                            "I", block.fetches)
-                    block.fn(config.state, d_append)
-                    if d_log:
-                        batches = batches + self._project_runs("D", d_log)
-                        d_log.clear()
-                    cursors = config.cursors
-                    for slots, runs in batches:
-                        for dag, slot in slots:
-                            cursors[slot] = dag.access_seq(cursors[slot], runs)
-                    n_steps = block.n_steps
-                    result.steps += n_steps
-                    stats.spec_block_runs += 1
-                    stats.spec_steps += n_steps
-                    # Earlier interpreted executions decoded every pc.
-                    stats.decode_hits += n_steps
-                    candidate = _Config(
-                        frames=config.frames, pc=block.end_pc,
-                        state=config.state, cursors=config.cursors,
+            # A unit runs only with fuel headroom for all of it: without it
+            # the single steps below replay it one instruction at a time and
+            # raise at the exact step where fuel runs out.
+            unit = units.get(pc)
+            if unit is not None:
+                if result.steps + len(unit.handlers) > fuel:
+                    unit = None
+                else:
+                    stats.decode_hits += len(unit.handlers)
+            elif pc in prefixes and result.steps + len(prefixes[pc]) <= fuel:
+                unit = units[pc] = self._bind_unit(steps, prefixes[pc])
+            if unit is not None:
+                state = config.state
+                for handler in unit.handlers:
+                    handler(state, d_append)
+                # The fetch batch projects once per run, on the unit's
+                # first execution; the data batch every time.
+                batches = unit.i_runs
+                if batches is None:
+                    batches = unit.i_runs = self._project_runs(
+                        "I", unit.fetches)
+                if d_log:
+                    batches = batches + self._project_runs("D", d_log)
+                    d_log.clear()
+                cursors = config.cursors
+                for slots, runs in batches:
+                    for dag, slot in slots:
+                        cursors[slot] = dag.access_seq(cursors[slot], runs)
+                n_steps = len(unit.handlers)
+                result.steps += n_steps
+                stats.spec_block_runs += 1
+                stats.spec_steps += n_steps
+                successors = None
+                next_pc = unit.end_pc
+            else:
+                if result.steps >= fuel:
+                    raise AnalysisError(
+                        f"fuel exhausted after {result.steps} abstract steps "
+                        f"(diverging loop or bound too small)"
                     )
-                    existing = pending.get(candidate.order_key)
-                    if existing is None:
-                        pending[candidate.order_key] = candidate
-                        if len(pending) > result.max_configs:
-                            result.max_configs = len(pending)
-                        heapq.heappush(
-                            heap, (candidate.order_key, next(seq), candidate))
-                        if len(heap) > stats.peak_heap_size:
-                            stats.peak_heap_size = len(heap)
-                    else:
-                        self._merge_into(existing, candidate, result)
-                    continue
+                result.steps += 1
+                stats.interp_steps += 1
+                step = steps.get(pc)
+                if step is None:
+                    stats.decode_misses += 1
+                    step = steps[pc] = bind(decode(pc))
+                else:
+                    stats.decode_hits += 1
+                handler, fetch, next_pc = step
+                self._emit_cursors = config.cursors
+                emit(fetch, "I")
+                successors = handler(config.state, emit)
 
-            if result.steps >= fuel:
-                raise AnalysisError(
-                    f"fuel exhausted after {result.steps} abstract steps "
-                    f"(diverging loop or bound too small)"
+            if successors is None:  # straight line: same frames, next pc
+                candidate = _Config(
+                    frames=config.frames, pc=next_pc,
+                    state=config.state, cursors=config.cursors,
                 )
-            result.steps += 1
-            stats.interp_steps += 1
-
-            instruction = self._decode(config.pc)
-            self._emit_cursors = config.cursors
-            successors = self.transfer.step(config.state, instruction, emit)
+                existing = pending.get(candidate.order_key)
+                if existing is None:
+                    pending[candidate.order_key] = candidate
+                    if len(pending) > result.max_configs:
+                        result.max_configs = len(pending)
+                    heapq.heappush(
+                        heap, (candidate.order_key, next(seq), candidate))
+                    if len(heap) > stats.peak_heap_size:
+                        stats.peak_heap_size = len(heap)
+                else:
+                    self._merge_into(existing, candidate, result)
+                continue
 
             if len(successors) > 1:
                 result.forks += 1
@@ -585,7 +593,7 @@ class Engine:
             for position, successor in enumerate(successors):
                 frames = config.frames
                 if successor.frame_op == "push":
-                    frames = frames + (instruction.addr,)
+                    frames = frames + (pc,)
                 elif successor.frame_op == "pop":
                     if frames:
                         frames = frames[:-1]
@@ -603,18 +611,33 @@ class Engine:
                     if len(pending) > result.max_configs:
                         result.max_configs = len(pending)
                     heapq.heappush(heap, (candidate.order_key, next(seq), candidate))
-                    if len(heap) > self.stats.peak_heap_size:
-                        self.stats.peak_heap_size = len(heap)
+                    if len(heap) > stats.peak_heap_size:
+                        stats.peak_heap_size = len(heap)
                 else:
                     self._merge_into(existing, candidate, result)
 
-    def _bind_block(self, program, pc: int):
-        """Compile (or reuse) the block turning hot at ``pc``; bind it."""
-        with obs_trace.span("engine.compile_block", pc=pc) as compile_span:
-            block = program.bind(pc, self.context)
-            compile_span.arg("steps", block.n_steps)
-        self.stats.spec_blocks += 1
-        return block
+    def _bind_unit(self, steps: dict, instructions: tuple) -> _Unit:
+        """Bind a block unit on its first execution in the run.
+
+        Each instruction's handler comes from ``steps`` (a decode hit) or
+        is bound there now (a miss), so the decode counters move exactly as
+        if the unit had run as single steps.
+        """
+        stats = self.stats
+        bind = self.transfer.bind
+        handlers = []
+        fetches = []
+        for instruction in instructions:
+            step = steps.get(instruction.addr)
+            if step is None:
+                stats.decode_misses += 1
+                step = steps[instruction.addr] = bind(instruction)
+            else:
+                stats.decode_hits += 1
+            handlers.append(step[0])
+            fetches.append(step[1])
+        stats.spec_blocks += 1
+        return _Unit(tuple(handlers), tuple(fetches), step[2])
 
     def _merge_into(self, existing: _Config, incoming: _Config,
                     result: EngineResult) -> None:

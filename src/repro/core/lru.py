@@ -1,13 +1,13 @@
-"""A small LRU cache shared by the repo's compile-tier memos.
+"""A small LRU cache shared by the repo's program-level memos.
 
 The program-level caches — the source→:class:`~repro.isa.image.Image` memo
 of :func:`repro.lang.driver.compile_program`, its transformed-variant
 counterpart :func:`repro.transform.pipeline.transformed_image`, and the
-per-(image, entry) specialized-block cache of :mod:`repro.analysis.specialize`
+per-(image, entry) block-unit cache of :mod:`repro.analysis.specialize`
 — are bounded by the same cap and use this class, so a long sweep over
 thousands of generated program variants cannot grow any of them without
 bound.  Evictions are counted (monotonically, per cache); those of the
-compile memo and the specialized-block cache are surfaced as a per-run delta
+compile memo and the block-unit cache are surfaced as a per-run delta
 on :class:`~repro.analysis.engine.SchedulerStats`.
 
 Recency is tracked with an ``OrderedDict``: a hit moves the key to the MRU
@@ -23,7 +23,7 @@ from typing import Iterator
 
 __all__ = ["LRUCache", "DEFAULT_CACHE_CAP"]
 
-# One cap for every compile-tier memo in the process.
+# One cap for every program-level memo in the process.
 DEFAULT_CACHE_CAP = 256
 
 

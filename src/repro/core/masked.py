@@ -38,9 +38,11 @@ from repro.core.symbols import SymbolTable
 __all__ = ["MaskedSymbol", "FlagBits", "MaskedOps", "concrete_op",
            "intern_clear", "intern_counters", "intern_size"]
 
-# Hash-consing tables: one canonical MaskedSymbol per (sym, mask), plus a
-# dedicated shortcut for fully known constants (the most common lookup on the
-# abstract-transfer hot path).  Hashes are precomputed and identical to the
+# Hash-consing tables: one canonical MaskedSymbol per (sym, mask), keyed by
+# the ints ``(sym, known, value, width)`` so a lookup never runs the Python
+# ``Mask.__hash__``, plus a dedicated shortcut for fully known constants (the
+# most common lookup on the abstract-transfer hot path).  Hashes are
+# computed once per miss and identical to the
 # historical frozen-dataclass formula ``hash((sym, mask))`` — frozenset
 # iteration orders (and hence fresh-symbol allocation order and every figure
 # count) are bit-for-bit unchanged.  Equality keeps a value fallback, so
@@ -75,7 +77,7 @@ class MaskedSymbol:
 
     def __new__(cls, sym: int | None = None, mask: Mask | None = None) -> "MaskedSymbol":
         global _hits, _misses
-        key = (sym, mask)
+        key = (sym, mask.known, mask.value, mask.width)
         cached = _INTERN.get(key)
         if cached is not None:
             _hits += 1
@@ -87,7 +89,7 @@ class MaskedSymbol:
         self.sym = sym
         self.mask = mask
         self.is_constant = mask.is_constant
-        self._hash = hash(key)
+        self._hash = hash((sym, mask))
         _INTERN[key] = self
         return self
 
@@ -413,7 +415,7 @@ class MaskedOps:
                     result.is_constant = False
                     result._hash = hash((ident, mask))
                 else:
-                    result = find_symbol((kept, mask))
+                    result = find_symbol((kept, known, value, width))
                     if result is None:
                         result = MaskedSymbol(kept, mask)
                     else:
@@ -569,7 +571,7 @@ class MaskedOps:
                     result.is_constant = False
                     result._hash = hash((ident, mask))
                 else:
-                    result = find_symbol((kept, mask))
+                    result = find_symbol((kept, known, value, width))
                     if result is None:
                         result = MaskedSymbol(kept, mask)
                     else:

@@ -277,11 +277,10 @@ class TraceDAG:
         ``runs`` is a list of ``(label, count)`` pairs; the result is exactly
         :meth:`access` applied ``count`` times per pair, in order.  For the
         single-entry cursor the loop keeps the entry unpacked and rebuilds
-        the frozenset once at the end — the compile tier pushes a
-        specialized block's whole fetch sequence through here in one call,
-        so the per-access cursor churn of the stepwise path is what this
-        removes.  A multi-entry cursor (only after a merge) takes the
-        stepwise path.
+        the frozenset once at the end — the engine pushes a block unit's
+        whole fetch sequence through here in one call, so the per-access
+        cursor churn of the stepwise path is what this removes.  A
+        multi-entry cursor (only after a merge) takes the stepwise path.
         """
         if len(cursor) != 1:
             access = self.access
@@ -324,9 +323,9 @@ class TraceDAG:
         quotient and high columns are the same objects): no registry probes
         (dedupe is off), no indexing back into the columns, and no frozenset
         until the returned cursor, whose entry names one parent set for both
-        DAGs.  It is bit-identical to the general path; the compile tier
-        pushes every specialized block's fetch sequence through here on
-        fork-free prefixes (all of fig14b-d).
+        DAGs.  It is bit-identical to the general path; the engine pushes
+        every block unit's fetch sequence through here on fork-free
+        prefixes (all of fig14b-d).
         """
         (parent,) = parents
         prev_total = self._counts[parent]

@@ -66,9 +66,9 @@ class Image:
         """Content hash of the image (sections and symbols).
 
         Two images assembled from the same program have the same fingerprint
-        in every process, so cross-process caches (the specialized-block
-        cache of :mod:`repro.analysis.specialize`) can key on it instead of
-        on object identity.
+        in every process, so cross-process caches (the block-unit cache of
+        :mod:`repro.analysis.specialize`) can key on it instead of on
+        object identity.
         """
         if self._fingerprint is None:
             import hashlib

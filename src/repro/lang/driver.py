@@ -66,7 +66,7 @@ _COMPILE_CACHE = LRUCache(_COMPILE_CACHE_MAX)
 
 
 def compile_cache_evictions() -> int:
-    """Monotonic eviction count of the compile memo (compile-tier stats)."""
+    """Monotonic eviction count of the compile memo (engine cache stats)."""
     return _COMPILE_CACHE.evictions
 
 

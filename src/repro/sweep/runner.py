@@ -120,10 +120,10 @@ def _engine_metrics(engine_result) -> dict:
     The intern counters are per-run deltas of the abstract domain's
     hash-consing layer; `AnalysisContext` clears the tables per analysis, so
     they are a pure function of the scenario (pool and inline runs agree).
-    The ``spec_*``/``interp_steps`` counters additionally depend on the
-    specialization mode (``REPRO_NO_SPECIALIZE`` zeroes ``spec_*``), and
-    ``cache_evictions`` on process history — it stays 0 until a process has
-    compiled more distinct programs than the compile-tier cache cap.
+    The ``spec_*``/``interp_steps`` counters split the steps between block
+    units and single steps, and ``cache_evictions`` depends on process
+    history — it stays 0 until a process has compiled more distinct
+    programs than the program-cache cap.
     """
     scheduler = engine_result.scheduler
     metrics = {
@@ -324,7 +324,6 @@ def _warm_worker() -> None:
     events back would duplicate them in the stitched trace.
     """
     import repro.analysis.analyzer  # noqa: F401
-    import repro.analysis.specialize  # noqa: F401
     import repro.casestudy.targets  # noqa: F401
     import repro.transform.pipeline  # noqa: F401
 

@@ -10,7 +10,8 @@ import pytest
 
 from repro.analysis.analyzer import analyze
 from repro.analysis.config import AnalysisConfig, InputSpec, MemInit
-from repro.analysis.specialize import NO_SPECIALIZE_ENV
+from repro.analysis import engine as engine_module
+from repro.analysis.specialize import SpecializedProgram
 from repro.analysis.validation import ConcreteValidator
 from repro.core import masked, valueset
 from repro.core.observers import AccessKind
@@ -331,7 +332,9 @@ class TestShiftByZero:
             InputSpec.reg_high(ESI, (0, 16, 32, 48))))
         result = analyze(image, spec, CONFIG)
         assert_validated(image, spec, result, [{}])
-        monkeypatch.setenv(NO_SPECIALIZE_ENV, "1")
+        # Block units and single steps agree.
+        monkeypatch.setattr(engine_module, "specialized_program",
+                            lambda image, entry: SpecializedProgram({}))
         assert analyze(image, spec, CONFIG).report.bounds == result.report.bounds
 
 

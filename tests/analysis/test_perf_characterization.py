@@ -18,7 +18,6 @@ Two complementary guarantees:
 import dataclasses
 
 from repro.analysis.engine import SchedulerStats
-from repro.analysis.specialize import NO_SPECIALIZE_ENV
 from repro.casestudy import experiments, targets
 
 
@@ -78,17 +77,15 @@ class TestInternCountersOnStats:
             assert metrics["vs_intern_misses"] > 0, name
             assert metrics["sym_intern_hits"] > 0, name
 
-    def test_interning_achieves_real_sharing_on_gather(self, monkeypatch):
+    def test_interning_achieves_real_sharing_on_gather(self):
         """The workload the layer exists for: the straight-line gather remix
-        of the same constants/addresses should answer most value-set
-        constructions from the intern table.  Characterizes the interpreted
-        path: the compile tier prebinds constants per run, so with it on the
-        repetitive constructions this rate measures never happen at all."""
-        monkeypatch.setenv(NO_SPECIALIZE_ENV, "1")
+        of the same constants/addresses.  Handlers bind their constant value
+        sets once per run, so no step re-looks a constant up; the repeated
+        products are answered by the lifting memo, and the masked symbols
+        the products build by the intern table (0.43 of them measured)."""
         result = targets.gather_target(nbytes=32).analyze()
         scheduler = result.engine_result.scheduler
-        assert scheduler.vs_intern_hit_rate > 0.5
-        assert 0.0 <= scheduler.sym_intern_hit_rate <= 1.0
+        assert scheduler.sym_intern_hit_rate > 0.4
         assert scheduler.lift_memo_hit_rate > 0.3
 
     def test_intern_counters_deterministic_per_scenario(self):

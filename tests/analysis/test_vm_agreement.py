@@ -5,8 +5,9 @@ Hypothesis generates straight-line programs over the instruction shapes of
 ``mul`` and every ``setcc``.  Every register starts constant and the data
 words are stored before the program runs, so the abstract run describes
 exactly one concrete run.  Each program runs once on the VM and once
-through ``Transfer.step``, and the abstract result must cover the concrete
-one (Theorem 1's premise, instruction by instruction):
+through the abstract handlers ``Transfer.bind`` builds, one instruction at
+a time, and the abstract result must cover the concrete one (Theorem 1's
+premise, instruction by instruction):
 
 - every register value lies in the concretization of its abstract value
   (it matches the known bits of one of its masked symbols);
@@ -136,15 +137,13 @@ def _abstract_run(image, registers, words):
     state, _ = build_initial_state(context, spec, image)
     transfer = Transfer(context, image)
     addresses = []
-
-    def record(kind, address, _size):
-        if kind == "D":
-            addresses.append(address)
-
     pc = image.symbol("main")
     while pc != SENTINEL_RETURN:
-        (successor,) = transfer.step(state, image.decode_at(pc), record)
-        pc, state = successor.pc, successor.state
+        handler, _fetch, pc = transfer.bind(image.decode_at(pc))
+        successors = handler(state, addresses.append)
+        if successors is not None:  # the closing ret
+            (successor,) = successors
+            pc, state = successor.pc, successor.state
     return state, addresses
 
 

@@ -1,4 +1,4 @@
-"""LRUCache: the shared bounded cache of the compile tier."""
+"""LRUCache: the shared bounded cache of the program-level memos."""
 
 from repro.core.lru import DEFAULT_CACHE_CAP, LRUCache
 

@@ -14,10 +14,23 @@ from repro.casestudy.scenarios import all_scenarios, hierarchy_scenarios
 from repro.sweep.results import ResultStore, SweepResult
 from repro.sweep.runner import execute_scenario
 from repro.sweep.scenario import Scenario
-from tests.analysis.test_specialize import MODE_SENSITIVE_METRICS
 
 GOLDEN_PATH = (Path(__file__).resolve().parents[1]
                / "data" / "catalogue_golden.json")
+
+# Metric keys that describe how the work ran (block units or single steps,
+# cache and intern hits) or depend on process history, as opposed to what
+# the analysis computed.  The result hashes leave them out; everything else
+# in the payload must stay bit-identical.
+MODE_SENSITIVE_METRICS = frozenset((
+    "spec_blocks", "spec_block_runs", "spec_steps", "interp_steps",
+    "cache_evictions",
+    "decode_hits", "decode_misses",
+    "projection_hits", "projection_misses",
+    "lift_memo_hits", "lift_memo_misses",
+    "vs_intern_hits", "vs_intern_misses",
+    "sym_intern_hits", "sym_intern_misses",
+))
 
 
 def _sha256(payload) -> str:

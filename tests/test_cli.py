@@ -139,6 +139,8 @@ class TestSweep:
         packages = [line.split()[0] for line in table.splitlines()[1:]]
         assert "repro.core" in packages
         assert "repro.analysis" in packages
+        units = out.split("per-scenario block units:\n", 1)[1].splitlines()[0]
+        assert units.split()[0] == "figure7a" and "share=" in units
         import pstats
         stats = pstats.Stats(str(profile_path))
         assert stats.total_calls > 0

@@ -10,16 +10,18 @@ it), and records per slice:
 - the engine counters ``steps``, ``merges``, ``forks``, ``decode_misses``;
 - ``dag_vertices``: the trace-DAG vertices of the run's DAGs;
 - ``sim_instructions``: instructions the concrete VM executed;
-- ``calls``: Python calls into ``src/repro`` or the compile tier's
-  ``<specialized-blocks>`` code, counted with ``sys.setprofile``.
+- ``calls``: Python calls into ``src/repro``, counted with
+  ``sys.setprofile`` (the ``<specialized-blocks>`` clause of
+  ``count_call`` named generated block code, which the engine no longer
+  has; it matches nothing).
   List, set and dict comprehension frames are left out, because 3.12
   inlines them (PEP 709);
 - ``tracked_objects``: GC-tracked objects that survive
   ``Engine._explore`` (``len(gc.get_objects())`` after it minus before).
 
 The interpreter gets ``PYTHONHASHSEED=0`` and no ``REPRO_*`` variable, so
-the compile-tier kill switch and the resource guards of an outer run do
-not reach it, and it keeps the cyclic collector off: the collector runs
+the trace switch and the resource guards of an outer run do not reach
+it, and it keeps the cyclic collector off: the collector runs
 the runner's ``gc.callbacks`` hook, and when it runs depends on
 allocation counts that differ between Python versions.
 
